@@ -37,7 +37,7 @@ print(header)
 print("-" * len(header))
 
 for name, p in shapes.items():
-    q, _ = normalize_to_unit_diameter(p)
+    q = normalize_to_unit_diameter(p)
     gc = geometric_constants(q)
     # pairwise minimum includes non-adjacent vertices, not just edges
     d_min = min_vertex_distance(q)

@@ -13,7 +13,6 @@ from .coords import (
     fd_gradient,
     mvc_gradients,
     mvc_values,
-    mvc_weights,
     sup_gradient_scan,
     wachspress_gradients,
     wachspress_values,
@@ -46,18 +45,14 @@ from .fem import (
 from .geometry import (
     GeometricConstants,
     Polygon,
-    SimilarityTransform,
     apex_pentagon,
-    ball_edge_intersections,
     compute_hstar,
     geometric_constants,
     load_polygon,
     min_vertex_distance,
     normalize_to_unit_diameter,
-    point_geometry,
     polygon_from_json,
     polygon_to_json,
-    polygon_validate,
     save_polygon,
 )
 from .interp import (

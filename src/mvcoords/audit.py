@@ -61,7 +61,7 @@ def random_convex_polygon(
             poly = Polygon(pts[hull.vertices])
         except PolygonError:
             continue
-        poly, _ = normalize_to_unit_diameter(poly)
+        poly = normalize_to_unit_diameter(poly)
         if poly.diameter / poly.inradius >= gamma_max:
             continue
         if min_vertex_distance(poly) <= d_star:
@@ -155,6 +155,20 @@ def _adjacent(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return (d == 1) | (d == n - 1) | (d == 0)
 
 
+def _far_close_vertices(small_r: np.ndarray, big_a: np.ndarray) -> tuple[int, int]:
+    """Count (wide angles, those with a close vertex off the wide edge).
+
+    ``small_r`` and ``big_a`` are (m, n) masks of vertices within h* and
+    angles above alpha*; angle i spans the edge from vertex i to i + 1.
+    """
+    rows, ii = np.nonzero(big_a)
+    k = np.arange(len(rows))
+    far = small_r[rows]
+    far[k, ii] = False
+    far[k, (ii + 1) % small_r.shape[1]] = False
+    return len(rows), int(np.count_nonzero(far.any(axis=1)))
+
+
 def audit_polygon(
     p: Polygon,
     rng: np.random.Generator,
@@ -191,12 +205,8 @@ def audit_polygon(
     c.add(samples, np.count_nonzero(cnt > 1), float(cnt.max()))
 
     c = checks["close vertex belongs to the wide edge"]
-    bad = 0
-    rows, ii = np.nonzero(big_a)
-    for row, i in zip(rows, ii):
-        js = np.nonzero(small_r[row])[0]
-        bad += int(np.any((js != i) & (js != (i + 1) % n)))
-    c.add(len(rows) if len(rows) else samples, bad, float(bad))
+    wide, bad = _far_close_vertices(small_r, big_a)
+    c.add(wide if wide else samples, bad, float(bad))
 
     c = checks["close vertex has wide adjacent angles"]
     rows, ii = np.nonzero(small_r)

@@ -20,13 +20,14 @@ import numpy as np
 
 from .audit import run_property_audit
 from .coords import (
+    _classify,
     mvc_gradients,
     mvc_values,
     sup_gradient_scan,
     wachspress_gradients,
     wachspress_values,
 )
-from .errors import NoConvergence, OutsidePolygon, PointTooCloseToBoundary
+from .errors import NoConvergence
 from .fem import convergence_study
 from .geometry import (
     apex_pentagon,
@@ -84,23 +85,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
     val_fn, grad_fn = _coordinate_functions(args.kind)
 
     n = len(p.vertices)
+    outside, band, interior = _classify(p, pts)
+    lam = np.empty((len(pts), n))
+    grad = np.empty((len(pts), n, 2))
+    lam[band] = val_fn(p, pts[band])
+    basis = grad_fn(p, pts[interior])
+    lam[interior] = basis.values
+    grad[interior] = basis.gradients
+
     header = ["x", "y", "status"]
     for i in range(n):
         header += [f"lambda_{i}", f"grad_x_{i}", f"grad_y_{i}"]
     lines = [",".join(header)]
-    for x, y in pts:
+    for k, (x, y) in enumerate(pts):
         cells = [""] * (3 * n)
         status = "ok"
-        try:
-            lam = val_fn(p, [[x, y]])[0]
-            for i in range(n):
-                cells[3 * i] = f"{lam[i]:.6g}"
-            grad = grad_fn(p, [[x, y]]).gradients[0]
-            for i in range(n):
-                cells[3 * i + 1] = f"{grad[i, 0]:.6g}"
-                cells[3 * i + 2] = f"{grad[i, 1]:.6g}"
-        except (OutsidePolygon, PointTooCloseToBoundary) as exc:
-            status = type(exc).__name__
+        if outside[k]:
+            status = "OutsidePolygon"
+        else:
+            cells[0::3] = [f"{v:.6g}" for v in lam[k]]
+            if band[k]:
+                status = "PointTooCloseToBoundary"
+            else:
+                cells[1::3] = [f"{g:.6g}" for g in grad[k, :, 0]]
+                cells[2::3] = [f"{g:.6g}" for g in grad[k, :, 1]]
         lines.append(f"{x:.6g},{y:.6g},{status}," + ",".join(cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -114,7 +122,7 @@ def cmd_check_polygon(args: argparse.Namespace) -> int:
     when both checks pass.
     """
     p = load_polygon(args.polygon)
-    q, _ = normalize_to_unit_diameter(p)
+    q = normalize_to_unit_diameter(p)
     gc = geometric_constants(q)
     g1 = gc.aspect_ratio <= args.gamma_star
     g2 = gc.min_edge >= args.d_star
@@ -156,14 +164,13 @@ def cmd_pentagon_study(args: argparse.Namespace) -> int:
             if surface is None:
                 continue
             _, grad_fn = _coordinate_functions(kind)
+            lattice = _bbox_lattice(p, args.grid)
+            pts = lattice[_classify(p, lattice)[2]]
+            basis = grad_fn(p, pts)
             apex_i = len(p.vertices) - 1
-            for x, y in _bbox_lattice(p, args.grid):
-                try:
-                    basis = grad_fn(p, [[x, y]])
-                except (OutsidePolygon, PointTooCloseToBoundary):
-                    continue
-                lam = basis.values[0, apex_i]
-                gx, gy = basis.gradients[0, apex_i]
+            for (x, y), lam, (gx, gy) in zip(
+                pts, basis.values[:, apex_i], basis.gradients[:, apex_i]
+            ):
                 surface.append(f"{a:g},{kind},{x:.6g},{y:.6g},{lam:.6g},{gx:.6g},{gy:.6g}")
     _emit("\n".join(rows) + "\n", args.out)
     if surface is not None:

@@ -19,7 +19,7 @@ from .errors import (
     PointTooCloseToBoundary,
     StepTooLarge,
 )
-from .geometry import Polygon, PointGeometry, _rot_ccw, point_geometry_batch
+from .geometry import Polygon, _rot_ccw, point_geometry_batch
 
 _COLLINEAR_TOL = 1e-9
 
@@ -41,15 +41,25 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def _classify(p: Polygon, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split points into interior / boundary-band rows; raise on outside."""
+def _classify(
+    p: Polygon, X: np.ndarray, inset: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outside, boundary-band and interior masks of an (m, 2) point array.
+
+    Points more than the interior tolerance outside the polygon are
+    outside, points more than ``inset`` plus that tolerance inside are
+    interior, and the rest form the band in between.
+    """
     sd = p.signed_boundary_distance(X)
     eps = p.eps_interior
-    outside = np.flatnonzero(sd < -eps)
-    if outside.size:
-        raise OutsidePolygon(f"point index {int(outside[0])} lies outside the polygon")
-    interior = sd > eps
-    return interior, ~interior
+    outside = sd < -eps
+    interior = sd > inset + eps
+    return outside, ~(outside | interior), interior
+
+
+def _reject_outside(outside: np.ndarray) -> None:
+    if outside.any():
+        raise OutsidePolygon(f"point index {int(np.argmax(outside))} lies outside the polygon")
 
 
 def _edge_limit_values(p: Polygon, X: np.ndarray) -> np.ndarray:
@@ -118,42 +128,39 @@ def _require_strictly_convex(p: Polygon) -> None:
         )
 
 
-def mvc_weights(pg: PointGeometry) -> np.ndarray:
-    """Unnormalized mean value weights (t_{i-1} + t_i) / r_i from a
-    point's geometry record. Interiority was already enforced when the
-    record was built. The sum is at least 2*pi on polygons of diameter
-    <= 1, which is what keeps the normalization stable."""
-    w = (np.roll(pg.t, 1) + pg.t) / pg.r
-    _require_finite(w, "mean value weights")
-    return w
+def _kernel(p: Polygon, kind: str):
+    """Interior evaluator of a coordinate kind; Wachspress coordinates
+    need every interior angle below pi."""
+    if kind == "mvc":
+        return _mvc_interior
+    if kind == "wachspress":
+        _require_strictly_convex(p)
+        return _wachspress_interior
+    raise ValueError(f"unknown coordinate kind {kind!r}")
 
 
 def _values(p: Polygon, points, kind: str) -> np.ndarray:
+    kernel = _kernel(p, kind)
     X, single = _as_points(points)
-    interior, boundary = _classify(p, X)
+    outside, band, interior = _classify(p, X)
+    _reject_outside(outside)
     lam = np.empty((X.shape[0], p.n))
-    if np.any(interior):
-        fn = _mvc_interior if kind == "mvc" else _wachspress_interior
-        lam[interior] = fn(p, X[interior], gradients=False).values
-    if np.any(boundary):
-        lam[boundary] = _edge_limit_values(p, X[boundary])
+    lam[interior] = kernel(p, X[interior], gradients=False).values
+    lam[band] = _edge_limit_values(p, X[band])
     _require_finite(lam, f"{kind} values")
     return lam[0] if single else lam
 
 
 def _gradients(p: Polygon, points, kind: str) -> BasisEval:
+    kernel = _kernel(p, kind)
     X, single = _as_points(points)
-    sd = p.signed_boundary_distance(X)
-    outside = np.flatnonzero(sd < -p.eps_interior)
-    if outside.size:
-        raise OutsidePolygon(f"point index {int(outside[0])} lies outside the polygon")
-    bad = np.flatnonzero(sd <= p.eps_interior)
-    if bad.size:
+    outside, band, _ = _classify(p, X)
+    _reject_outside(outside)
+    if band.any():
         raise PointTooCloseToBoundary(
-            f"gradients need strictly interior points; index {int(bad[0])} is not"
+            f"gradients need strictly interior points; index {int(np.argmax(band))} is not"
         )
-    fn = _mvc_interior if kind == "mvc" else _wachspress_interior
-    out = fn(p, X, gradients=True)
+    out = kernel(p, X, gradients=True)
     _require_finite(out.values, f"{kind} values")
     _require_finite(out.gradients, f"{kind} gradients")
     if single:
@@ -178,14 +185,12 @@ def mvc_gradients(p: Polygon, points) -> BasisEval:
 
 def wachspress_values(p: Polygon, points) -> np.ndarray:
     """Wachspress coordinates; requires every interior angle < pi."""
-    _require_strictly_convex(p)
     return _values(p, points, "wachspress")
 
 
 def wachspress_gradients(p: Polygon, points) -> BasisEval:
     """Wachspress values and analytic gradients at strictly interior
     points; requires every interior angle < pi."""
-    _require_strictly_convex(p)
     return _gradients(p, points, "wachspress")
 
 
@@ -196,28 +201,22 @@ def fd_gradient(p: Polygon, points, kind: str = "mvc", step: float | None = None
     stay strictly interior, so points closer to the boundary than
     step + interior tolerance raise StepTooLarge.
     """
-    if kind == "wachspress":
-        _require_strictly_convex(p)
-    elif kind != "mvc":
-        raise ValueError(f"unknown coordinate kind {kind!r}")
+    kernel = _kernel(p, kind)
     X, single = _as_points(points)
     h = 1e-6 * p.diameter if step is None else float(step)
     if h <= 0.0:
         raise StepTooLarge("step must be positive")
-    sd = p.signed_boundary_distance(X)
-    outside = np.flatnonzero(sd < -p.eps_interior)
-    if outside.size:
-        raise OutsidePolygon(f"point index {int(outside[0])} lies outside the polygon")
-    bad = np.flatnonzero(sd <= h + p.eps_interior)
-    if bad.size:
+    outside, band, _ = _classify(p, X, inset=h)
+    _reject_outside(outside)
+    if band.any():
         raise StepTooLarge(
-            f"stencil of half-width {h:g} leaves the interior at point index {int(bad[0])}"
+            f"stencil of half-width {h:g} leaves the interior at point index "
+            f"{int(np.argmax(band))}"
         )
     m = X.shape[0]
     shifts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     stencil = (X[:, None, :] + shifts[None, :, :]).reshape(m * 4, 2)
-    fn = _mvc_interior if kind == "mvc" else _wachspress_interior
-    vals = fn(p, stencil, gradients=False).values.reshape(m, 4, p.n)
+    vals = kernel(p, stencil, gradients=False).values.reshape(m, 4, p.n)
     grad = np.stack([vals[:, 0] - vals[:, 1], vals[:, 2] - vals[:, 3]], axis=2) / (2.0 * h)
     return grad[0] if single else grad
 
@@ -247,52 +246,39 @@ def _scan_grid(p: Polygon, resolution: int, margin: float) -> np.ndarray:
 
     A uniform lattice misses the thin boundary strips where steep
     gradients live (strip thickness can be far below the lattice spacing),
-    so the grid is built per scanline instead: for each of ``resolution``
-    rows the admissible segment is found by bisection on the boundary
-    distance and filled with ``resolution`` points, and the same is done
-    per column. End points land on the margin shell, where the supremum
-    of an unbounded family concentrates.
+    so the grid is built per scanline instead: each of ``resolution``
+    columns and then ``resolution`` rows is cut to its admissible segment,
+    which is filled with ``resolution`` points. That set is the
+    intersection of the half-planes n_k . (x - v_k) >= thr over the inward
+    unit edge normals n_k, so on the line x = c + t u the segment ends come
+    in closed form: with a_k = n_k . u and b_k = n_k . (c - v_k), edge k
+    requires t >= (thr - b_k) / a_k when a_k > 0 and t <= (thr - b_k) / a_k
+    when a_k < 0, and an edge parallel to the line keeps it only when
+    b_k >= thr. End points land on the margin shell, where the supremum of
+    an unbounded family concentrates.
     """
     x0, y0, x1, y1 = p.bbox
     pad = 1.0 - 1e-9  # keep shell points on the admissible side of the cut
-
-    def scanlines(fixed_vals, axis):
-        rows = []
-        lo_all, hi_all = (y0, y1) if axis == 0 else (x0, x1)
-        for c in fixed_vals:
-            def make(tt):
-                pt = np.empty((np.size(tt), 2))
-                pt[:, axis] = c
-                pt[:, 1 - axis] = tt
-                return pt
-
-            tt = np.linspace(lo_all, hi_all, 4 * resolution)
-            ok = p.signed_boundary_distance(make(tt)) >= margin
-            if not np.any(ok):
-                continue
-            lo, hi = tt[np.argmax(ok)], tt[len(ok) - 1 - np.argmax(ok[::-1])]
-            # push each end outward to the margin shell by bisection
-            lo_out, hi_out = lo - (tt[1] - tt[0]), hi + (tt[1] - tt[0])
-            for _ in range(60):
-                mid = 0.5 * (lo + lo_out)
-                if p.signed_boundary_distance(make(np.array([mid]))[0]) >= margin / pad:
-                    lo = mid
-                else:
-                    lo_out = mid
-                mid = 0.5 * (hi + hi_out)
-                if p.signed_boundary_distance(make(np.array([mid]))[0]) >= margin / pad:
-                    hi = mid
-                else:
-                    hi_out = mid
-            rows.append(make(np.linspace(lo, hi, resolution)))
-        return rows
-
-    xs = np.linspace(x0 + margin, x1 - margin, resolution)
-    ys = np.linspace(y0 + margin, y1 - margin, resolution)
-    parts = scanlines(xs, 0) + scanlines(ys, 1)
-    if not parts:
-        raise EvaluationError("no scan points survive the margin; lower it or refine")
+    thr = margin / pad
+    normal = _rot_ccw(p.edge_vectors) / p.edge_lengths[:, None]
+    offset = np.sum(normal * p.vertices, axis=1)
+    parts = []
+    for axis, fixed in ((0, np.linspace(x0 + margin, x1 - margin, resolution)),
+                        (1, np.linspace(y0 + margin, y1 - margin, resolution))):
+        a = normal[:, 1 - axis]
+        b = fixed[:, None] * normal[:, axis] - offset
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = (thr - b) / a
+        lo = np.max(np.where(a > 0.0, cut, -np.inf), axis=1)
+        hi = np.min(np.where(a < 0.0, cut, np.inf), axis=1)
+        keep = (lo <= hi) & np.all((a != 0.0) | (b >= thr), axis=1)
+        line = np.empty((int(keep.sum()), resolution, 2))
+        line[:, :, axis] = fixed[keep, None]
+        line[:, :, 1 - axis] = np.linspace(lo[keep], hi[keep], resolution, axis=1)
+        parts.append(line.reshape(-1, 2))
     pts = np.concatenate(parts, axis=0)
+    if pts.shape[0] == 0:
+        raise EvaluationError("no scan points survive the margin; lower it or refine")
     return pts[p.signed_boundary_distance(pts) >= margin * pad]
 
 
@@ -316,14 +302,9 @@ def sup_gradient_scan(
     margin = 1e-4 * p.diameter if margin is None else float(margin)
     if margin <= p.eps_interior:
         raise ValueError("margin must exceed the interior tolerance")
+    kernel = _kernel(p, kind)
     pts = _scan_grid(p, resolution, margin)
-    if kind == "wachspress":
-        _require_strictly_convex(p)
-        out = _wachspress_interior(p, pts, gradients=True)
-    elif kind == "mvc":
-        out = _mvc_interior(p, pts, gradients=True)
-    else:
-        raise ValueError(f"unknown coordinate kind {kind!r}")
+    out = kernel(p, pts, gradients=True)
     _require_finite(out.gradients, f"{kind} gradients")
     norms = np.hypot(out.gradients[:, :, 0], out.gradients[:, :, 1])
     rows = np.argmax(norms, axis=0)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial.distance import pdist
 
-from .errors import DegenerateEdge, NonConvex, PointTooCloseToBoundary, WrongOrientation
+from .errors import DegenerateEdge, NonConvex, WrongOrientation
 
 # Relative tolerances: geometry predicates scale them by the polygon size.
 EPS_GEOM = 1e-12
@@ -149,22 +149,20 @@ class Polygon:
         """Absolute margin below which a point counts as on the boundary."""
         return EPS_EVAL * self.diameter
 
-    def signed_boundary_distance(self, points) -> np.ndarray | float:
-        """Signed distance to the boundary: positive inside, negative outside.
+    def signed_boundary_distance(self, points) -> np.ndarray:
+        """Signed distance to the boundary at each of (m, 2) points:
+        positive inside, negative outside.
 
         Computed as the minimum signed distance to the edge lines, which for
         interior points of a convex polygon never exceeds the true boundary
         distance (so it is a safe interiority margin).
         """
-        x = np.asarray(points, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
+        X = np.atleast_2d(np.asarray(points, dtype=float))
         v = self._vertices
         e = self.edge_vectors
         d = X[:, None, :] - v[None, :, :]
         cross = e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0]
-        sd = np.min(cross / self.edge_lengths[None, :], axis=1)
-        return float(sd[0]) if single else sd
+        return np.min(cross / self.edge_lengths[None, :], axis=1)
 
     def edge_distances(self, points) -> np.ndarray:
         """Euclidean distance from each point to each closed edge segment.
@@ -179,17 +177,8 @@ class Polygon:
         foot = v[None, :, :] + tt[:, :, None] * e[None, :, :]
         return np.hypot(X[:, None, 0] - foot[:, :, 0], X[:, None, 1] - foot[:, :, 1])
 
-    def contains(self, point, tol: float | None = None) -> bool:
-        tol = self.eps_interior if tol is None else tol
-        return bool(self.signed_boundary_distance(point) >= -tol)
-
     def __repr__(self) -> str:
         return f"Polygon(n={self.n}, diameter={self.diameter:.6g})"
-
-
-def polygon_validate(vertices) -> Polygon:
-    """Validate a vertex loop and return the corresponding Polygon."""
-    return Polygon(vertices)
 
 
 def polygon_to_json(p: Polygon) -> str:
@@ -300,82 +289,30 @@ def compute_hstar(p: Polygon) -> float:
     side count as adjacent.
 
     For triangles every edge pair is adjacent and only the three-edge
-    clause binds; the minimum over the interior of the largest edge
-    distance is estimated on a 512x512 grid with one local refinement
-    pass.
+    clause binds: h* is the minimum over the triangle of the largest edge
+    distance, attained at the incenter, so it is the inradius 2A / P.
     """
     v = p.vertices
     n = p.n
-    if n >= 4:
-        best = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j - i == 1 or j - i == n - 1:  # cyclic neighbors share a vertex
-                    continue
-                d = _segment_segment_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n])
-                best = min(best, d)
-        return 0.5 * best
-
-    def min_max_edge_distance(xs, ys):
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        inside = p.signed_boundary_distance(pts) > 0.0
-        pts = pts[inside]
-        if pts.shape[0] == 0:
-            return np.inf, None
-        f = p.edge_distances(pts).max(axis=1)
-        k = int(np.argmin(f))
-        return float(f[k]), pts[k]
-
-    x0, y0, x1, y1 = p.bbox
-    coarse, at = min_max_edge_distance(np.linspace(x0, x1, 512), np.linspace(y0, y1, 512))
-    hx = 2.0 * (x1 - x0) / 511.0
-    hy = 2.0 * (y1 - y0) / 511.0
-    fine, _ = min_max_edge_distance(
-        np.linspace(at[0] - hx, at[0] + hx, 64), np.linspace(at[1] - hy, at[1] + hy, 64)
-    )
-    return min(coarse, fine)
+    if n == 3:
+        return 2.0 * p.area / float(p.edge_lengths.sum())
+    best = np.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j - i == 1 or j - i == n - 1:  # cyclic neighbors share a vertex
+                continue
+            d = _segment_segment_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n])
+            best = min(best, d)
+    return 0.5 * best
 
 
-def ball_edge_intersections(p: Polygon, x, h: float) -> np.ndarray:
-    """Indices of closed edges the closed ball B(x, h) touches.
-
-    Closed-ball semantics (distance <= h) make the separation radius a
-    supremum of safe radii rather than a safe radius itself: at exactly
-    h = compute_hstar(p) the ball centered on the right boundary point
-    touches a third edge.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    d = p.edge_distances(np.asarray(x, dtype=float))[0]
-    return np.flatnonzero(d <= h)
-
-
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """Uniform scaling plus translation: x -> scale * x + translation."""
-
-    scale: float
-    translation: np.ndarray
-
-    def apply(self, points) -> np.ndarray:
-        return self.scale * np.asarray(points, dtype=float) + self.translation
-
-    def invert(self, points) -> np.ndarray:
-        return (np.asarray(points, dtype=float) - self.translation) / self.scale
-
-    @property
-    def is_identity(self) -> bool:
-        return self.scale == 1.0 and not np.any(self.translation)
-
-
-def normalize_to_unit_diameter(p: Polygon) -> tuple[Polygon, SimilarityTransform]:
-    """Rescale the polygon to diameter one; returns (polygon, transform)."""
+def normalize_to_unit_diameter(p: Polygon) -> Polygon:
+    """The polygon scaled about the origin to diameter one (``p`` itself
+    when its diameter already is one)."""
     d = p.diameter
     if abs(d - 1.0) <= 1e-14:
-        return p, SimilarityTransform(1.0, np.zeros(2))
-    t = SimilarityTransform(1.0 / d, np.zeros(2))
-    return Polygon(t.apply(p.vertices)), t
+        return p
+    return Polygon((1.0 / d) * p.vertices)
 
 
 def apex_pentagon(height: float) -> Polygon:
@@ -444,40 +381,3 @@ def point_geometry_batch(p: Polygon, points, gradients: bool = False) -> PointGe
             # 2 cos^2(alpha/2) = 1 + cos alpha = (r_i r_{i+1} + dot) / (r_i r_{i+1})
             out.grad_t = out.grad_alpha * (rr / (rr + dot))[:, :, None]
     return out
-
-
-@dataclass
-class PointGeometry:
-    """Per-point geometry at a single strictly interior evaluation point."""
-
-    point: np.ndarray
-    r: np.ndarray
-    alpha: np.ndarray
-    t: np.ndarray
-    grad_r: np.ndarray | None = None
-    grad_alpha: np.ndarray | None = None
-    grad_t: np.ndarray | None = None
-
-
-def point_geometry(p: Polygon, x, gradients: bool = False) -> PointGeometry:
-    """Geometry data at one strictly interior point.
-
-    Raises PointTooCloseToBoundary when the point is within the interior
-    tolerance of the boundary (or outside); callers should switch to the
-    edge-limit evaluation path in that case.
-    """
-    x = np.asarray(x, dtype=float)
-    if p.signed_boundary_distance(x) <= p.eps_interior:
-        raise PointTooCloseToBoundary(
-            f"point {x.tolist()} is within {p.eps_interior:g} of the boundary"
-        )
-    g = point_geometry_batch(p, x[None, :], gradients=gradients)
-    return PointGeometry(
-        point=x,
-        r=g.r[0],
-        alpha=g.alpha[0],
-        t=g.t[0],
-        grad_r=None if g.grad_r is None else g.grad_r[0],
-        grad_alpha=None if g.grad_alpha is None else g.grad_alpha[0],
-        grad_t=None if g.grad_t is None else g.grad_t[0],
-    )

@@ -6,6 +6,7 @@ import pytest
 from mvcoords.audit import (
     AUDIT_CHECK_NAMES,
     AuditTolerances,
+    _far_close_vertices,
     random_convex_polygon,
     run_property_audit,
     sample_interior,
@@ -70,3 +71,19 @@ def test_report_text_layout():
     assert text.startswith("property audit: seed=5 polygons=2 samples=100")
     assert text.endswith("total violations: 0\n")
     assert "analytic vs FD gradient (wachspress)" in text
+
+
+def test_far_close_vertices_matches_per_angle_loop():
+    """The mask form of "close vertex belongs to the wide edge" counts the
+    same violations as a loop over every wide angle."""
+    rng = np.random.default_rng(3)
+    for n in (3, 5, 8):
+        small_r = rng.random((400, n)) < 0.3
+        big_a = rng.random((400, n)) < 0.2
+        bad = 0
+        rows, ii = np.nonzero(big_a)
+        for row, i in zip(rows, ii):
+            js = np.nonzero(small_r[row])[0]
+            bad += int(np.any((js != i) & (js != (i + 1) % n)))
+        assert bad > 0
+        assert _far_close_vertices(small_r, big_a) == (len(rows), bad)

@@ -4,9 +4,18 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mvcoords.cli import main
+from mvcoords.coords import (
+    mvc_gradients,
+    mvc_values,
+    wachspress_gradients,
+    wachspress_values,
+)
+from mvcoords.errors import OutsidePolygon, PointTooCloseToBoundary
+from mvcoords.geometry import load_polygon
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 OCT8 = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5],
@@ -87,6 +96,57 @@ def test_eval_outside_point_run_continues(polys, capsys):
     assert first[2] == "OutsidePolygon"
     assert all(c == "" for c in first[3:])
     assert lines[2].split(",")[2] == "ok"
+
+
+def eval_one_point_at_a_time(path, points, grid, kind):
+    """Reference for ``eval``: each point through the public coordinate
+    functions on its own, the row status named by the exception raised."""
+    p = load_polygon(path)
+    if kind == "mvc":
+        val_fn, grad_fn = mvc_values, mvc_gradients
+    else:
+        val_fn, grad_fn = wachspress_values, wachspress_gradients
+    x0, y0, x1, y1 = p.bbox
+    gx, gy = np.meshgrid(np.linspace(x0, x1, grid), np.linspace(y0, y1, grid))
+    pts = np.concatenate([np.asarray(points, dtype=float),
+                          np.column_stack([gx.ravel(), gy.ravel()])])
+    n = len(p.vertices)
+    header = ["x", "y", "status"]
+    for i in range(n):
+        header += [f"lambda_{i}", f"grad_x_{i}", f"grad_y_{i}"]
+    lines = [",".join(header)]
+    for x, y in pts:
+        cells = [""] * (3 * n)
+        status = "ok"
+        try:
+            lam = val_fn(p, [[x, y]])[0]
+            for i in range(n):
+                cells[3 * i] = f"{lam[i]:.6g}"
+            grad = grad_fn(p, [[x, y]]).gradients[0]
+            for i in range(n):
+                cells[3 * i + 1] = f"{grad[i, 0]:.6g}"
+                cells[3 * i + 2] = f"{grad[i, 1]:.6g}"
+        except (OutsidePolygon, PointTooCloseToBoundary) as exc:
+            status = type(exc).__name__
+        lines.append(f"{x:.6g},{y:.6g},{status}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["mvc", "wachspress"])
+def test_eval_matches_one_point_at_a_time(polys, capsys, kind):
+    # outside, two vertices, two edge points, the band on both sides of an
+    # edge (eps = 1e-9 * sqrt(2) here), just past the band on both sides,
+    # inside; the lattice adds more of each
+    points = [(2.0, 2.0), (-0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.3, 0.0),
+              (1.0, 0.6), (0.5, 1e-9), (0.5, -1e-9), (0.5, -2e-9), (0.5, 1e-8),
+              (0.5, 0.5), (0.25, 0.7)]
+    argv = ["eval", "--polygon", polys["square"], "--kind", kind, "--grid", "11"]
+    argv += [f"--point={x!r},{y!r}" for x, y in points]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out == eval_one_point_at_a_time(polys["square"], points, 11, kind)
+    statuses = {line.split(",")[2] for line in out.splitlines()[1:]}
+    assert statuses == {"ok", "OutsidePolygon", "PointTooCloseToBoundary"}
 
 
 def test_eval_wachspress_needs_strict_convexity(polys, capsys):

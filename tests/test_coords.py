@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 
 from mvcoords.audit import sample_interior
 from mvcoords.coords import (
+    _scan_grid,
     fd_gradient,
     mvc_gradients,
     mvc_values,
-    mvc_weights,
     sup_gradient_scan,
     wachspress_gradients,
     wachspress_values,
@@ -20,12 +20,7 @@ from mvcoords.errors import (
     PointTooCloseToBoundary,
     StepTooLarge,
 )
-from mvcoords.geometry import (
-    Polygon,
-    SimilarityTransform,
-    apex_pentagon,
-    point_geometry,
-)
+from mvcoords.geometry import Polygon, apex_pentagon, point_geometry_batch
 
 SQUARE = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 TRI = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -63,8 +58,14 @@ def test_triangle_matches_areal_values():
     assert_allclose(wachspress_values(TRI, x), areal(x), atol=1e-14)
 
 
+def mvc_weights(p, points):
+    """Unnormalized mean value weights (t_{i-1} + t_i) / r_i."""
+    g = point_geometry_batch(p, points)
+    return (np.roll(g.t, 1, axis=1) + g.t) / g.r
+
+
 def test_mvc_weights_square_center():
-    w = mvc_weights(point_geometry(SQUARE, (0.5, 0.5)))
+    w = mvc_weights(SQUARE, [(0.5, 0.5)])
     assert_allclose(w, 2.0 * np.sqrt(2.0), rtol=1e-14)
 
 
@@ -72,10 +73,9 @@ def test_mvc_weight_sum_lower_bound(polygon_suite, rng):
     # unit-diameter polygons keep the weight sum above 2*pi, which is the
     # reason the normalizing denominator never degenerates
     for p in polygon_suite[:5]:
-        for x in sample_interior(p, rng, 50):
-            w = mvc_weights(point_geometry(p, x))
-            assert np.all(w > 0)
-            assert w.sum() >= 2.0 * np.pi - 1e-9
+        w = mvc_weights(p, sample_interior(p, rng, 50))
+        assert np.all(w > 0)
+        assert np.all(w.sum(axis=1) >= 2.0 * np.pi - 1e-9)
 
 
 def test_batch_matches_single(rng):
@@ -147,6 +147,8 @@ def test_vertex_limit_from_inside(polygon_suite):
 def test_gradients_require_strict_interior():
     with pytest.raises(PointTooCloseToBoundary):
         mvc_gradients(SQUARE, (0.3, 0.0))
+    with pytest.raises(PointTooCloseToBoundary):
+        mvc_gradients(SQUARE, (0.0, 0.0))
     with pytest.raises(OutsidePolygon):
         mvc_gradients(SQUARE, (1.5, 0.5))
 
@@ -193,9 +195,8 @@ def test_similarity_invariance(polygon_suite, rng):
     for _ in range(10):
         s = float(rng.uniform(0.1, 10.0))
         shift = rng.uniform(-5.0, 5.0, 2)
-        t = SimilarityTransform(s, shift)
-        q = Polygon(t.apply(p.vertices))
-        out = mvc_gradients(q, t.apply(pts))
+        q = Polygon(s * p.vertices + shift)
+        out = mvc_gradients(q, s * pts + shift)
         assert np.abs(out.values - base.values).max() < 1e-12
         assert np.abs(out.gradients * s - base.gradients).max() < 1e-9
 
@@ -268,6 +269,27 @@ def test_scan_flat_pentagon_separates_families():
     m = sup_gradient_scan(p, "mvc", resolution=64).overall_max
     w = sup_gradient_scan(p, "wachspress", resolution=64).overall_max
     assert w / m >= 5.0
+
+
+def test_scan_points_keep_the_margin_and_end_on_the_shell(polygon_suite):
+    """Every scan point is at least margin * pad inside, and both ends of
+    every scanline sit on the margin shell."""
+    pad = 1.0 - 1e-9
+    for p, resolution, margin in ((SQUARE, 16, 1e-4), (apex_pentagon(1.001), 64, 1e-4),
+                                  (apex_pentagon(1.05), 32, 1e-3), (polygon_suite[0], 24, 1e-2)):
+        pts = _scan_grid(p, resolution, margin)
+        assert np.all(p.signed_boundary_distance(pts) >= margin * pad)
+        assert pts.shape[0] % resolution == 0
+        lines = pts.reshape(-1, resolution, 2)
+        ends = np.concatenate([lines[:, 0], lines[:, -1]])
+        assert np.abs(p.signed_boundary_distance(ends) / margin - 1.0).max() <= 1e-8
+
+
+def test_scan_point_count_on_flat_pentagon():
+    # 512 scanlines of 256 points, less the three that run parallel to an
+    # edge at exactly the margin and the row through the apex cap
+    scan = sup_gradient_scan(apex_pentagon(1.001), "mvc", resolution=256, margin=1e-4)
+    assert scan.n_points == 130048
 
 
 def test_scan_refinement_stability():

@@ -6,25 +6,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mvcoords.errors import (
-    DegenerateEdge,
-    NonConvex,
-    PointTooCloseToBoundary,
-    WrongOrientation,
-)
+from mvcoords.errors import DegenerateEdge, NonConvex, WrongOrientation
 from mvcoords.geometry import (
     Polygon,
     apex_pentagon,
-    ball_edge_intersections,
     compute_hstar,
     geometric_constants,
     load_polygon,
     min_vertex_distance,
     normalize_to_unit_diameter,
-    point_geometry,
+    point_geometry_batch,
     polygon_from_json,
     polygon_to_json,
-    polygon_validate,
     save_polygon,
 )
 
@@ -61,23 +54,23 @@ def test_midside_nodes_allowed():
 
 def test_reflex_vertex_rejected():
     with pytest.raises(NonConvex):
-        polygon_validate([(0.0, 0.0), (1.0, 0.0), (0.5, -0.5), (1.0, 1.0)])
+        Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, -0.5), (1.0, 1.0)])
 
 
 def test_repeated_vertex_rejected():
     with pytest.raises(DegenerateEdge):
-        polygon_validate([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
 
 def test_too_few_vertices_rejected():
     with pytest.raises(ValueError):
-        polygon_validate([(0.0, 0.0), (1.0, 0.0)])
+        Polygon([(0.0, 0.0), (1.0, 0.0)])
 
 
 def test_clockwise_input_reversed_with_warning():
     cw = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
     with pytest.warns(WrongOrientation):
-        p = polygon_validate(cw)
+        p = Polygon(cw)
     # stored loop is counterclockwise afterwards
     assert p.area > 0
     assert_allclose(p.vertices[0], (1.0, 0.0))
@@ -85,7 +78,7 @@ def test_clockwise_input_reversed_with_warning():
 
 def test_nonfinite_vertex_rejected():
     with pytest.raises(ValueError):
-        polygon_validate([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)])
+        Polygon([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)])
 
 
 # ------------------------------------------------------------------- metrics
@@ -188,15 +181,27 @@ def test_hstar_shrinks_with_apex():
     assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
 
-def test_hstar_triangle_matches_incircle():
+def test_hstar_triangle_matches_incircle(rng):
     """For triangles only the three-edge clause binds, and the optimal center
-    is the incenter, so the sampled radius should approach the incircle radius
-    from above (grid minimization overshoots slightly)."""
-    h = compute_hstar(TRI_345)
-    assert h == pytest.approx(1.0, rel=2e-3)
+    is the incenter, so h* is the incircle radius: the common edge distance
+    at the side-length-weighted vertex mean, and no interior point has a
+    smaller largest edge distance."""
+    assert compute_hstar(TRI_345) == pytest.approx(1.0, rel=1e-12)
     assert compute_hstar(EQUILATERAL) == pytest.approx(
-        1.0 / (2.0 * np.sqrt(3.0)), rel=2e-3
+        1.0 / (2.0 * np.sqrt(3.0)), rel=1e-12
     )
+    for _ in range(5):
+        v = rng.uniform(-1.0, 1.0, (3, 2))
+        a, b = v[1] - v[0], v[2] - v[0]
+        tri = Polygon(v if a[0] * b[1] - a[1] * b[0] > 0.0 else v[::-1])
+        opposite = np.roll(tri.edge_lengths, -1)  # side facing each vertex
+        incenter = opposite @ tri.vertices / opposite.sum()
+        h = compute_hstar(tri)
+        assert_allclose(tri.edge_distances(incenter)[0], h, rtol=1e-12)
+        x0, y0, x1, y1 = tri.bbox
+        pts = rng.uniform((x0, y0), (x1, y1), (2000, 2))
+        pts = pts[tri.signed_boundary_distance(pts) > 0.0]
+        assert tri.edge_distances(pts).max(axis=1).min() >= h
 
 
 def test_hstar_sampling_oracle(rng):
@@ -242,9 +247,9 @@ def test_constants_square():
 
 
 def test_constants_unit_diameter_square():
-    p, t = normalize_to_unit_diameter(SQUARE)
+    p = normalize_to_unit_diameter(SQUARE)
     gc = geometric_constants(p)
-    assert t.scale == pytest.approx(1.0 / np.sqrt(2.0))
+    assert p.diameter == pytest.approx(1.0, abs=1e-15)
     assert gc.min_edge == pytest.approx(1.0 / np.sqrt(2.0))
     assert gc.h_star == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), abs=1e-12)
 
@@ -269,7 +274,7 @@ def test_constants_sane_on_suite(polygon_suite):
 # ----------------------------------------------------------- per-point values
 
 def test_point_geometry_square_center():
-    g = point_geometry(SQUARE, (0.5, 0.5))
+    g = point_geometry_batch(SQUARE, [(0.5, 0.5)])
     assert_allclose(g.r, np.sqrt(2.0) / 2.0, rtol=1e-15)
     assert_allclose(g.alpha, np.pi / 2.0, rtol=1e-15)
     assert_allclose(g.t, 1.0, rtol=1e-14)
@@ -277,8 +282,8 @@ def test_point_geometry_square_center():
 
 def test_point_geometry_triangle():
     tri = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    g = point_geometry(tri, (0.25, 0.25))
-    assert_allclose(g.r, [np.sqrt(2.0) / 4.0, 0.7905694150, 0.7905694150],
+    g = point_geometry_batch(tri, [(0.25, 0.25)])
+    assert_allclose(g.r[0], [np.sqrt(2.0) / 4.0, 0.7905694150, 0.7905694150],
                     rtol=1e-9)
     assert g.alpha.sum() == pytest.approx(2.0 * np.pi, abs=1e-12)
 
@@ -287,77 +292,67 @@ def test_angle_sum_random_points(polygon_suite, rng):
     from mvcoords.audit import sample_interior
 
     for p in polygon_suite[:4]:
-        pts = sample_interior(p, rng, 200)
-        for x in pts:
-            g = point_geometry(p, x)
-            assert abs(g.alpha.sum() - 2.0 * np.pi) < 1e-12
-            assert np.all(g.alpha > 0) and np.all(g.alpha < np.pi)
-            assert np.all(g.r > 0)
-
-
-def test_point_geometry_rejects_vertex_and_outside():
-    with pytest.raises(PointTooCloseToBoundary):
-        point_geometry(SQUARE, (0.0, 0.0))
-    with pytest.raises(PointTooCloseToBoundary):
-        point_geometry(SQUARE, (2.0, 0.5))
+        g = point_geometry_batch(p, sample_interior(p, rng, 200))
+        assert np.all(np.abs(g.alpha.sum(axis=1) - 2.0 * np.pi) < 1e-12)
+        assert np.all(g.alpha > 0) and np.all(g.alpha < np.pi)
+        assert np.all(g.r > 0)
 
 
 def test_point_geometry_gradients_match_fd():
     p = apex_pentagon(1.5)
     x = np.array([0.3, 0.4])
-    g = point_geometry(p, x, gradients=True)
     h = 1e-7
-    for dim, e in enumerate(np.eye(2)):
-        gp = point_geometry(p, x + h * e)
-        gm = point_geometry(p, x - h * e)
-        assert_allclose(g.grad_r[:, dim], (gp.r - gm.r) / (2 * h), atol=2e-7)
-        assert_allclose(g.grad_alpha[:, dim], (gp.alpha - gm.alpha) / (2 * h),
-                        atol=2e-7)
-        assert_allclose(g.grad_t[:, dim], (gp.t - gm.t) / (2 * h), atol=2e-7)
+    stencil = x + h * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    g = point_geometry_batch(p, stencil, gradients=True)
+    for dim in range(2):
+        plus, minus = 1 + 2 * dim, 2 + 2 * dim
+        for name in ("r", "alpha", "t"):
+            f = getattr(g, name)
+            fd = (f[plus] - f[minus]) / (2 * h)
+            assert_allclose(getattr(g, f"grad_{name}")[0, :, dim], fd, atol=2e-7)
 
 
 # ------------------------------------------------------------ ball intersect
 
+def ball_hits(p, x, h):
+    """Closed edges the closed ball B(x, h) touches, as the audit counts them."""
+    return np.flatnonzero(p.edge_distances(x)[0] <= h)
+
+
 def test_ball_misses_all_edges_at_center():
-    assert ball_edge_intersections(SQUARE, (0.5, 0.5), 0.4).size == 0
+    assert ball_hits(SQUARE, (0.5, 0.5), 0.4).size == 0
 
 
 def test_ball_touches_corner_pair():
-    hits = ball_edge_intersections(SQUARE, (0.05, 0.05), 0.1)
+    hits = ball_hits(SQUARE, (0.05, 0.05), 0.1)
     assert hits.tolist() == [0, 3]  # bottom and left, adjacent at the corner
 
 
 def test_ball_above_separation_radius_hits_three_edges():
     # at h = 0.5 (the square's full separation radius) a mid-bottom point
     # reaches the bottom edge and both side edges
-    hits = ball_edge_intersections(SQUARE, (0.5, 0.05), 0.5)
+    hits = ball_hits(SQUARE, (0.5, 0.05), 0.5)
     assert hits.size >= 3
-
-
-def test_ball_requires_positive_radius():
-    with pytest.raises(ValueError):
-        ball_edge_intersections(SQUARE, (0.5, 0.5), 0.0)
 
 
 # ------------------------------------------------------- normalization + IO
 
 def test_normalize_square():
-    p, t = normalize_to_unit_diameter(SQUARE)
+    p = normalize_to_unit_diameter(SQUARE)
     assert p.diameter == pytest.approx(1.0, abs=1e-14)
     assert p.edge_lengths[0] == pytest.approx(1.0 / np.sqrt(2.0))
-    assert_allclose(t.invert(p.vertices), SQUARE.vertices, atol=1e-15)
+    assert_allclose(p.vertices * np.sqrt(2.0), SQUARE.vertices, atol=1e-15)
 
 
 def test_normalize_identity_when_already_unit():
-    p, _ = normalize_to_unit_diameter(SQUARE)
-    q, t = normalize_to_unit_diameter(p)
-    assert t.is_identity
-    assert q is p
+    p = normalize_to_unit_diameter(SQUARE)
+    assert normalize_to_unit_diameter(p) is p
 
 
 def test_normalize_pentagon_scale():
-    _, t = normalize_to_unit_diameter(apex_pentagon(1.5))
-    assert t.scale == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), rel=1e-14)
+    pent = apex_pentagon(1.5)
+    p = normalize_to_unit_diameter(pent)
+    assert_allclose(p.vertices, pent.vertices / (2.0 * np.sqrt(2.0)), rtol=1e-14)
 
 
 def test_json_round_trip():
