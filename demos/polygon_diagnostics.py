@@ -15,7 +15,6 @@ from mvcoords import (
     Polygon,
     apex_pentagon,
     geometric_constants,
-    min_vertex_distance,
     normalize_to_unit_diameter,
 )
 
@@ -39,13 +38,12 @@ print("-" * len(header))
 for name, p in shapes.items():
     q = normalize_to_unit_diameter(p)
     gc = geometric_constants(q)
-    # pairwise minimum includes non-adjacent vertices, not just edges
-    d_min = min_vertex_distance(q)
+    # d_min is the pairwise minimum: non-adjacent vertices, not just edges
     g1 = gc.aspect_ratio <= GAMMA_STAR
-    g2 = d_min >= D_STAR
+    g2 = gc.d_min >= D_STAR
     verdict = "regular" if (g1 and g2) else ("fails gamma" if not g1 else "fails d_min")
     print(
-        f"{name:24s} {gc.aspect_ratio:8.4f} {d_min:8.4f}"
+        f"{name:24s} {gc.aspect_ratio:8.4f} {gc.d_min:8.4f}"
         f" {np.degrees(gc.beta_max):8.2f}d {gc.h_star:8.4f} {verdict}"
     )
 

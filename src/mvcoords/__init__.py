@@ -24,6 +24,7 @@ from .errors import (
     EvaluationError,
     NoConvergence,
     NonConvex,
+    NonTranslateElement,
     OutsidePolygon,
     PointTooCloseToBoundary,
     PolygonError,

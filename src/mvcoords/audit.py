@@ -190,7 +190,7 @@ def audit_polygon(
     # The separation radius is computed as a supremum, so it can equal
     # d_min/2 exactly (the unit square does); the audited bound is <=.
     c = checks["h* at most half min vertex gap"]
-    half = 0.5 * min_vertex_distance(p)
+    half = 0.5 * gc.d_min
     c.add(1, 0 if gc.h_star <= half * (1.0 + 1e-12) else 1, gc.h_star / half)
 
     small_r = g.r < gc.h_star

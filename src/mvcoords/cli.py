@@ -125,11 +125,11 @@ def cmd_check_polygon(args: argparse.Namespace) -> int:
     q = normalize_to_unit_diameter(p)
     gc = geometric_constants(q)
     g1 = gc.aspect_ratio <= args.gamma_star
-    g2 = gc.min_edge >= args.d_star
+    g2 = gc.d_min >= args.d_star
     lines = [
         f"vertices    {len(q.vertices)}",
         f"gamma       {gc.aspect_ratio:.6g}",
-        f"d_min       {gc.min_edge:.6g}",
+        f"d_min       {gc.d_min:.6g}",
         f"beta_min    {gc.beta_min:.6g}",
         f"beta_max    {gc.beta_max:.6g}",
         f"h_star      {gc.h_star:.6g}",

@@ -17,12 +17,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coords import mvc_gradients
-from .errors import NoConvergence
+from .errors import NoConvergence, NonTranslateElement
 from .geometry import Polygon
-from .interp import QuadratureRule, ScalarField, fan_quadrature, field_sin_exp
+from .interp import ScalarField, fan_quadrature, field_sin_exp
 
 DEFAULT_ASSEMBLY_RULE = (8, 1)
 DEFAULT_ERROR_RULE = (10, 2)
+# elements per batch of quadrature points in assembly and error norms;
+# bounds the per-chunk point arrays (3,200 points per element by default)
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -122,27 +125,37 @@ class LinearSystem:
     n_nodes: int
 
 
-def _reference_layout(mesh: Mesh) -> tuple[Polygon, np.ndarray] | None:
-    """If all elements are translates of element 0 (to 1e-12 of the element
-    size), return its polygon and the per-element origins; else None."""
+def _reference_layout(mesh: Mesh) -> tuple[Polygon, np.ndarray]:
+    """Element 0's polygon and the per-element origins, given that every
+    element is a translate of element 0 (to 1e-12 of the element size).
+
+    Raises NonTranslateElement naming the first element that is not.
+    """
     coords = mesh.nodes[mesh.elements]
     local = coords - coords[:, :1, :]
     size = float(np.max(np.abs(local[0])))
-    if np.max(np.abs(local - local[0])) > 1e-12 * max(size, 1e-300):
-        return None
+    off = np.max(np.abs(local - local[0]), axis=(1, 2)) > 1e-12 * max(size, 1e-300)
+    if np.any(off):
+        e = int(np.argmax(off))
+        raise NonTranslateElement(f"element {e} is not a translate of element 0")
     return Polygon(local[0]), coords[:, 0, :]
 
 
 def _tabulate(mesh: Mesh, degree: int, subdivision: int):
     """Reference-element quadrature rule and basis tables shared by all
-    elements; falls back to None for non-uniform meshes."""
-    layout = _reference_layout(mesh)
-    if layout is None:
-        return None
-    ref, origins = layout
+    elements, plus the per-element origins."""
+    ref, origins = _reference_layout(mesh)
     rule = fan_quadrature(ref, degree=degree, subdivision=subdivision)
     basis = mvc_gradients(ref, rule.points)
     return rule, basis, origins
+
+
+def _chunks(origins: np.ndarray, points: np.ndarray):
+    """Yield (element slice, that chunk's quadrature points as (m, 2)) for
+    consecutive runs of _CHUNK elements."""
+    for start in range(0, origins.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        yield sl, (origins[sl][:, None, :] + points[None, :, :]).reshape(-1, 2)
 
 
 def assemble(
@@ -154,37 +167,19 @@ def assemble(
     """Stiffness and load for -Δu = f with f = u_exact.source, Dirichlet
     data u_exact on the boundary nodes, eliminated by rhs lift."""
     n_nodes = mesh.n_nodes
-    tab = _tabulate(mesh, degree, subdivision)
+    rule, basis, origins = _tabulate(mesh, degree, subdivision)
+    g = basis.gradients
+    k_loc = np.einsum("q,qia,qja->ij", rule.weights, g, g)
+    rows = np.repeat(mesh.elements, 8, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 8)).ravel()
+    data = np.tile(k_loc.ravel(), mesh.n_elements)
+    # load[e, i] = sum_q f(x_eq) w_q phi_i(q), one matmul per chunk
+    w_phi = rule.weights[:, None] * basis.values
+    load = np.empty(mesh.elements.shape)
+    for sl, pts in _chunks(origins, rule.points):
+        load[sl] = u_exact.source(pts).reshape(-1, rule.weights.size) @ w_phi
     b_full = np.zeros(n_nodes)
-    if tab is not None:
-        rule, basis, origins = tab
-        g = basis.gradients
-        k_loc = np.einsum("q,qia,qja->ij", rule.weights, g, g)
-        n_el = mesh.n_elements
-        rows = np.repeat(mesh.elements, 8, axis=1).ravel()
-        cols = np.tile(mesh.elements, (1, 8)).ravel()
-        data = np.tile(k_loc.ravel(), n_el)
-        pts = origins[:, None, :] + rule.points[None, :, :]
-        f = u_exact.source(pts.reshape(-1, 2)).reshape(n_el, -1)
-        load = np.einsum("eq,q,qi->ei", f, rule.weights, basis.values)
-        np.add.at(b_full, mesh.elements.ravel(), load.ravel())
-    else:
-        row_parts, col_parts, data_parts = [], [], []
-        for e in range(mesh.n_elements):
-            poly = mesh.element_polygon(e)
-            rule = fan_quadrature(poly, degree=degree, subdivision=subdivision)
-            basis = mvc_gradients(poly, rule.points)
-            g = basis.gradients
-            k_loc = np.einsum("q,qia,qja->ij", rule.weights, g, g)
-            idx = mesh.elements[e]
-            row_parts.append(np.repeat(idx, 8))
-            col_parts.append(np.tile(idx, 8))
-            data_parts.append(k_loc.ravel())
-            f = u_exact.source(rule.points)
-            np.add.at(b_full, idx, basis.values.T @ (rule.weights * f))
-        rows = np.concatenate(row_parts)
-        cols = np.concatenate(col_parts)
-        data = np.concatenate(data_parts)
+    np.add.at(b_full, mesh.elements.ravel(), load.ravel())
     k_full = sp.coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
 
     bnd = mesh.boundary_nodes
@@ -249,7 +244,10 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None)
         p = z + (rz_new / rz) * p
         rz = rz_new
     if not converged:
-        raise NoConvergence(f"no convergence in {max_iter} iterations")
+        rel = float(np.linalg.norm(r)) / b_norm
+        raise NoConvergence(
+            f"no convergence in {max_iter} iterations (relative residual {rel:.3e})"
+        )
     coeffs[system.dof_map] = x
     return coeffs
 
@@ -260,37 +258,26 @@ def solution_errors(
     u_exact: ScalarField,
     degree: int = DEFAULT_ERROR_RULE[0],
     subdivision: int = DEFAULT_ERROR_RULE[1],
-    chunk: int = 256,
 ) -> tuple[float, float]:
     """Quadrature L2 and H1-seminorm errors of the discrete solution."""
     coeffs = np.asarray(coeffs, dtype=float)
-    tab = _tabulate(mesh, degree, subdivision)
+    rule, basis, origins = _tabulate(mesh, degree, subdivision)
+    w = rule.weights
+    n_q = w.size
+    phi_t = basis.values.T
+    # (8, 2Q) with column 2q + a = d phi_i / dx_a at point q, the layout of
+    # u_exact.gradient reshaped per element, so gradients are one matmul
+    grad_t = basis.gradients.transpose(1, 0, 2).reshape(8, 2 * n_q)
+    w2 = np.repeat(w, 2)
     l2_sq = 0.0
     h1_sq = 0.0
-    if tab is not None:
-        rule, basis, origins = tab
-        w = rule.weights
-        for start in range(0, mesh.n_elements, chunk):
-            sl = slice(start, start + chunk)
-            nodal = coeffs[mesh.elements[sl]]
-            pts = (origins[sl][:, None, :] + rule.points[None, :, :]).reshape(-1, 2)
-            uh = nodal @ basis.values.T
-            guh = np.einsum("ei,qia->eqa", nodal, basis.gradients)
-            n_e = nodal.shape[0]
-            du = u_exact.value(pts).reshape(n_e, -1) - uh
-            dg = u_exact.gradient(pts).reshape(n_e, -1, 2) - guh
-            l2_sq += float(np.sum(du * du @ w))
-            h1_sq += float(np.sum(np.sum(dg * dg, axis=2) @ w))
-    else:
-        for e in range(mesh.n_elements):
-            poly = mesh.element_polygon(e)
-            rule = fan_quadrature(poly, degree=degree, subdivision=subdivision)
-            basis = mvc_gradients(poly, rule.points)
-            nodal = coeffs[mesh.elements[e]]
-            du = u_exact.value(rule.points) - basis.values @ nodal
-            dg = u_exact.gradient(rule.points) - np.einsum("qia,i->qa", basis.gradients, nodal)
-            l2_sq += float(np.dot(rule.weights, du * du))
-            h1_sq += float(np.dot(rule.weights, np.sum(dg * dg, axis=1)))
+    for sl, pts in _chunks(origins, rule.points):
+        nodal = coeffs[mesh.elements[sl]]
+        n_e = nodal.shape[0]
+        du = u_exact.value(pts).reshape(n_e, n_q) - nodal @ phi_t
+        dg = u_exact.gradient(pts).reshape(n_e, 2 * n_q) - nodal @ grad_t
+        l2_sq += float(np.sum(du * du @ w))
+        h1_sq += float(np.sum(dg * dg @ w2))
     return float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))
 
 

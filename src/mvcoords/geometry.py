@@ -237,7 +237,7 @@ class GeometricConstants:
     diameter: float
     inradius: float
     aspect_ratio: float
-    min_edge: float
+    d_min: float  # smallest distance between any two vertices (G2)
     beta_min: float
     beta_max: float
     h_star: float
@@ -257,7 +257,7 @@ def geometric_constants(p: Polygon) -> GeometricConstants:
         diameter=p.diameter,
         inradius=p.inradius,
         aspect_ratio=p.diameter / p.inradius,
-        min_edge=float(p.edge_lengths.min()),
+        d_min=min_vertex_distance(p),
         beta_min=float(beta.min()),
         beta_max=float(beta.max()),
         h_star=h_star,

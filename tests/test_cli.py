@@ -22,8 +22,11 @@ OCT8 = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5],
         [1.0, 1.0], [0.5, 1.0], [0.0, 1.0], [0.0, 0.5]]
 PENTAGON = [[-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [0.0, 1.001]]
 # 10 x 1.05 rectangle: aspect ratio ~19 fails G1 while the normalized
-# shortest edge 1.05/diag ~ 0.104 still clears d_* = 0.1
+# smallest vertex distance 1.05/diag ~ 0.104 still clears d_* = 0.1
 NEEDLE = [[0.0, 0.0], [10.0, 0.0], [10.0, 1.05], [0.0, 1.05]]
+# kite of diameter 2: every edge is longer than 1, but the two vertices
+# (0, -eps) and (0, eps) are 2 eps apart, 0.001 after normalization
+KITE = [[-1.0, 0.0], [0.0, -1e-3], [1.0, 0.0], [0.0, 1e-3]]
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +34,8 @@ def polys(tmp_path_factory):
     d = tmp_path_factory.mktemp("polygons")
     out = {}
     for name, verts in [("square", SQUARE), ("oct8", OCT8),
-                        ("pentagon", PENTAGON), ("needle", NEEDLE)]:
+                        ("pentagon", PENTAGON), ("needle", NEEDLE),
+                        ("kite", KITE)]:
         path = d / f"{name}.json"
         path.write_text(json.dumps({"vertices": verts}))
         out[name] = str(path)
@@ -218,6 +222,16 @@ def test_check_needle_fails_aspect_only(polys, capsys):
     assert rc == 1
     assert "G1 (gamma <= 6): FAIL" in out
     assert "G2 (d_min >= 0.1): PASS" in out
+
+
+def test_check_kite_fails_vertex_separation(polys, capsys):
+    """G2 bounds the distance between any two vertices, not only the edge
+    lengths: the kite's edges all exceed d_* while two opposite vertices
+    nearly touch."""
+    rc, out, _ = run_cli(capsys, "check-polygon", "--polygon", polys["kite"])
+    assert rc == 1
+    assert "G2 (d_min >= 0.1): FAIL" in out
+    assert "d_min       0.001" in out
 
 
 def test_check_custom_thresholds(polys, capsys):

@@ -7,11 +7,14 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from mvcoords.coords import mvc_values
-from mvcoords.errors import NoConvergence
+from mvcoords import fem
+from mvcoords.coords import mvc_gradients, mvc_values
+from mvcoords.errors import NoConvergence, NonTranslateElement
 from mvcoords.fem import (
-    ConvergenceReport,
+    DEFAULT_ASSEMBLY_RULE,
+    DEFAULT_ERROR_RULE,
     LinearSystem,
+    Mesh,
     assemble,
     build_mesh,
     convergence_study,
@@ -19,7 +22,7 @@ from mvcoords.fem import (
     solution_errors,
     solve,
 )
-from mvcoords.interp import field_linear, field_sin_exp
+from mvcoords.interp import fan_quadrature, field_linear, field_sin_exp, field_x2
 
 # measured once with the default rules (assembly degree 8 / subdivision 1,
 # error norms degree 10 / subdivision 2) and frozen; the study is
@@ -149,6 +152,92 @@ def test_reduced_system_excludes_boundary():
     assert system.matrix.shape == (system.dof_map.size,) * 2
 
 
+# ------------------------------------------------------ batched element path
+
+def per_element_reference(mesh, u, coeffs):
+    """Stiffness, load and error norms one element at a time, each element
+    with its own quadrature rule and basis tables, in the einsum forms the
+    batched path replaced. Returns (full matrix, load, l2, h1)."""
+    n_nodes = mesh.n_nodes
+    rows, cols, data = [], [], []
+    load = np.zeros(n_nodes)
+    l2_sq = h1_sq = 0.0
+    for e in range(mesh.n_elements):
+        poly = mesh.element_polygon(e)
+        idx = mesh.elements[e]
+        rule = fan_quadrature(poly, *DEFAULT_ASSEMBLY_RULE)
+        basis = mvc_gradients(poly, rule.points)
+        g = basis.gradients
+        rows.append(np.repeat(idx, 8))
+        cols.append(np.tile(idx, 8))
+        data.append(np.einsum("q,qia,qja->ij", rule.weights, g, g).ravel())
+        np.add.at(load, idx, basis.values.T @ (rule.weights * u.source(rule.points)))
+
+        rule = fan_quadrature(poly, *DEFAULT_ERROR_RULE)
+        basis = mvc_gradients(poly, rule.points)
+        nodal = coeffs[idx]
+        du = u.value(rule.points) - basis.values @ nodal
+        dg = u.gradient(rule.points) - np.einsum("qia,i->qa", basis.gradients, nodal)
+        l2_sq += float(np.dot(rule.weights, du * du))
+        h1_sq += float(np.dot(rule.weights, np.sum(dg * dg, axis=1)))
+    k = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_nodes, n_nodes),
+    ).tocsr()
+    return k, load, np.sqrt(l2_sq), np.sqrt(h1_sq)
+
+
+def test_batched_path_matches_per_element_reference():
+    """x^2 has the nonzero source -2, so the load vector is exercised, not
+    only the Dirichlet lift."""
+    mesh = build_mesh(3)
+    u = field_x2()
+    system = assemble(mesh, u)
+    coeffs = solve(system)
+    k_ref, load_ref, l2_ref, h1_ref = per_element_reference(mesh, u, coeffs)
+    free, bnd = system.dof_map, system.boundary_index
+    rhs_ref = load_ref[free] - k_ref[free][:, bnd] @ system.boundary_values
+    k = system.full_matrix.toarray()
+    assert_allclose(k, k_ref.toarray(), rtol=1e-12, atol=1e-12 * np.abs(k).max())
+    assert np.abs(load_ref).min() > 0.0
+    assert_allclose(system.rhs, rhs_ref, rtol=1e-12)
+    l2, h1 = solution_errors(mesh, coeffs, u)
+    assert l2 > 1e-6 and h1 > 1e-4
+    assert_allclose([l2, h1], [l2_ref, h1_ref], rtol=1e-12)
+
+
+def test_ragged_final_chunk(monkeypatch):
+    """25 elements in chunks of 7 leave a final chunk of 4; chunking only
+    regroups sums, so the results match the single-chunk ones."""
+    mesh = build_mesh(5)
+    assert mesh.n_elements <= fem._CHUNK
+    u = field_x2()
+    system = assemble(mesh, u)
+    coeffs = solve(system)
+    l2, h1 = solution_errors(mesh, coeffs, u)
+    monkeypatch.setattr(fem, "_CHUNK", 7)
+    assert_allclose(assemble(mesh, u).rhs, system.rhs, rtol=1e-13)
+    assert_allclose(solution_errors(mesh, coeffs, u), [l2, h1], rtol=1e-13)
+
+
+def test_non_translate_element_rejected():
+    """Moving one interior node breaks the shared reference element; the
+    error names the first element that holds the node."""
+    mesh = build_mesh(3)
+    node = 2 * 4 + 2  # corner (2/3, 2/3), not on element 0
+    first = int(np.flatnonzero((mesh.elements == node).any(axis=1))[0])
+    assert first > 0
+    nodes = mesh.nodes.copy()
+    nodes[node] += [0.01, -0.02]
+    moved = Mesh(nodes=nodes, elements=mesh.elements,
+                 boundary_nodes=mesh.boundary_nodes, n=mesh.n)
+    msg = f"^element {first} is not a translate of element 0$"
+    with pytest.raises(NonTranslateElement, match=msg):
+        assemble(moved, field_x2())
+    with pytest.raises(NonTranslateElement, match=msg):
+        solution_errors(moved, np.zeros(mesh.n_nodes), field_x2())
+
+
 # ---------------------------------------------------------------------- solve
 
 def test_identity_system_solved_in_one_iteration():
@@ -175,8 +264,14 @@ def test_indefinite_matrix_raises():
 
 def test_iteration_cap_raises():
     system = assemble(build_mesh(2), field_sin_exp())
-    with pytest.raises(NoConvergence):
+    with pytest.raises(
+        NoConvergence,
+        match=r"^no convergence in 1 iterations \(relative residual \d\.\d{3}e[+-]\d+\)$",
+    ) as exc:
         solve(system, max_iter=1)
+    # the residual reached is reported, and it is above the 1e-10 target
+    rel = float(str(exc.value).split("residual ")[1].rstrip(")"))
+    assert 1e-10 < rel < 1.0
 
 
 def test_reduced_residual_below_tolerance():

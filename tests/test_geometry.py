@@ -227,12 +227,13 @@ def test_hstar_sampling_oracle(rng):
 
 
 def test_hstar_bounded_by_half_min_edge(polygon_suite):
+    # d_min is the all-pairs vertex distance, never above the shortest edge;
     # non-strict: equality happens whenever the shortest edge sits between
     # two right-or-wider corners (the unit square is the textbook case)
     for p in polygon_suite:
         gc = geometric_constants(p)
-        assert gc.h_star <= 0.5 * gc.min_edge * (1.0 + 1e-12)
-        assert gc.h_star <= 0.5 * min_vertex_distance(p) * (1.0 + 1e-12)
+        assert gc.d_min == min_vertex_distance(p)
+        assert gc.h_star <= 0.5 * gc.d_min * (1.0 + 1e-12)
 
 
 # -------------------------------------------------------- geometric constants
@@ -242,7 +243,7 @@ def test_constants_square():
     assert gc.aspect_ratio == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
     assert gc.beta_min == pytest.approx(np.pi / 2.0)
     assert gc.beta_max == pytest.approx(np.pi / 2.0)
-    assert gc.min_edge == pytest.approx(1.0)
+    assert gc.d_min == pytest.approx(1.0)
     assert gc.diameter == pytest.approx(np.sqrt(2.0))
 
 
@@ -250,7 +251,7 @@ def test_constants_unit_diameter_square():
     p = normalize_to_unit_diameter(SQUARE)
     gc = geometric_constants(p)
     assert p.diameter == pytest.approx(1.0, abs=1e-15)
-    assert gc.min_edge == pytest.approx(1.0 / np.sqrt(2.0))
+    assert gc.d_min == pytest.approx(1.0 / np.sqrt(2.0))
     assert gc.h_star == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), abs=1e-12)
 
 
