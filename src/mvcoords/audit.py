@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .coords import (
-    fd_gradient,
-    mvc_gradients,
-    mvc_values,
-    wachspress_gradients,
-    wachspress_values,
-)
+from .coords import _kernel, _mvc_weights, fd_gradient
 from .errors import PolygonError
 from .geometry import (
     GeometricConstants,
@@ -32,25 +26,22 @@ from .geometry import (
 
 GAMMA_MAX = 6.0
 D_STAR = 0.1
+MAX_DRAWS = 2000
+KINDS = ("mvc", "wachspress")
+FD_SAMPLES = 10  # points per kind for the analytic vs FD gradient check
 
 
-def random_convex_polygon(
-    rng: np.random.Generator,
-    n_vertices: int | None = None,
-    gamma_max: float = GAMMA_MAX,
-    d_star: float = D_STAR,
-    max_tries: int = 2000,
-) -> Polygon:
+def random_convex_polygon(rng: np.random.Generator) -> Polygon:
     """Random unit-diameter convex polygon with 5..10 vertices meeting the
-    aspect-ratio bound (gamma < gamma_max) and the pairwise vertex
-    separation bound (> d_star).
+    aspect-ratio bound (gamma < GAMMA_MAX) and the pairwise vertex
+    separation bound (> D_STAR).
 
     Vertices are drawn on a random-radius star around the origin and
     passed through a convex hull; draws failing the vertex-count or
     quality gates are rejected and retried.
     """
-    for _ in range(max_tries):
-        target = int(rng.integers(5, 11)) if n_vertices is None else n_vertices
+    for _ in range(MAX_DRAWS):
+        target = int(rng.integers(5, 11))
         ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, target))
         rad = rng.uniform(0.4, 1.0, target)
         pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
@@ -62,15 +53,15 @@ def random_convex_polygon(
         except PolygonError:
             continue
         poly = normalize_to_unit_diameter(poly)
-        if poly.diameter / poly.inradius >= gamma_max:
+        if poly.diameter / poly.inradius >= GAMMA_MAX:
             continue
-        if min_vertex_distance(poly) <= d_star:
+        if min_vertex_distance(poly) <= D_STAR:
             continue
         # keep corners honestly convex so Wachspress stays well defined
         if poly.interior_angles.max() > np.pi - 1e-6:
             continue
         return poly
-    raise RuntimeError(f"no acceptable polygon in {max_tries} draws")
+    raise RuntimeError(f"no acceptable polygon in {MAX_DRAWS} draws")
 
 
 def sample_interior(
@@ -175,13 +166,18 @@ def audit_polygon(
     samples: int,
     tol: AuditTolerances,
     checks: dict[str, CheckCounter],
-    fd_samples: int = 10,
 ) -> None:
-    """Run every audited property on one unit-diameter polygon."""
+    """Run every audited property on one unit-diameter polygon.
+
+    Each sample set gets one point geometry, which the geometric checks
+    and both coordinate kinds read. The sets keep a margin above the
+    interior tolerance, so they go to the interior kernels unclassified;
+    the kernels still reject non-finite output.
+    """
     gc: GeometricConstants = geometric_constants(p)
     n = p.n
     x = sample_interior(p, rng, samples, margin=1e-7 * p.diameter)
-    g = point_geometry_batch(p, x, gradients=True)
+    g = point_geometry_batch(p, x)
 
     c = checks["angle sum 2pi"]
     err = np.abs(g.alpha.sum(axis=1) - 2.0 * np.pi)
@@ -237,8 +233,7 @@ def audit_polygon(
     c.add(samples, bad, float(cnt.max()))
 
     c = checks["weight sum >= 2pi (unit diameter)"]
-    t_prev = np.roll(g.t, 1, axis=1)
-    wsum = ((t_prev + g.t) / g.r).sum(axis=1)
+    wsum = _mvc_weights(g).sum(axis=1)
     c.add(samples, np.count_nonzero(wsum < 2.0 * np.pi - tol.weight_sum_slack),
           float((2.0 * np.pi - wsum).max()))
 
@@ -248,13 +243,15 @@ def audit_polygon(
     # like eps/distance^1.5 and a 1e-9 tolerance is only meaningful with
     # some standoff. Values are identity-protected and keep the tight set.
     xg = sample_interior(p, rng, samples, margin=1e-3 * p.diameter)
+    gg = point_geometry_batch(p, xg)
+    # one FD sample set per kind, drawn in the order the seeded reports
+    # have always used; a single geometry serves both sets
+    xf = [sample_interior(p, rng, FD_SAMPLES, margin=0.01 * p.diameter) for _ in KINDS]
+    gf = point_geometry_batch(p, np.concatenate(xf))
 
-    pairs = (
-        ("mvc", mvc_values, mvc_gradients),
-        ("wachspress", wachspress_values, wachspress_gradients),
-    )
-    for kind, val_fn, grad_fn in pairs:
-        lam = val_fn(p, x)
+    for k, kind in enumerate(KINDS):
+        kernel = _kernel(p, kind)
+        lam = kernel(p, g, gradients=False).values
 
         c = checks[f"nonnegative ({kind})"]
         c.add(samples * n, np.count_nonzero(lam < tol.nonnegative), float((-lam).max()))
@@ -267,7 +264,7 @@ def audit_polygon(
         err = np.abs(lam @ p.vertices - x).max(axis=1)
         c.add(samples, np.count_nonzero(err > tol.linear_precision * p.diameter), err.max())
 
-        glam = grad_fn(p, xg).gradients
+        glam = kernel(p, gg, gradients=True).gradients
 
         c = checks[f"grad sum zero ({kind})"]
         err = np.abs(glam.sum(axis=1)).max(axis=1)
@@ -279,13 +276,12 @@ def audit_polygon(
         c.add(samples, np.count_nonzero(err > tol.grad_sum), err.max())
 
         c = checks[f"analytic vs FD gradient ({kind})"]
-        xf = sample_interior(p, rng, fd_samples, margin=0.01 * p.diameter)
-        ana = grad_fn(p, xf).gradients
-        fd = fd_gradient(p, xf, kind=kind)
+        ana = kernel(p, gf, gradients=True).gradients[k * FD_SAMPLES:(k + 1) * FD_SAMPLES]
+        fd = fd_gradient(p, xf[k], kind=kind)
         num = np.hypot(*(ana - fd).transpose(2, 0, 1))
         den = np.maximum(np.hypot(*ana.transpose(2, 0, 1)), 0.01)
         rel = num / den
-        c.add(fd_samples * n, np.count_nonzero(rel > tol.fd_match), rel.max())
+        c.add(FD_SAMPLES * n, np.count_nonzero(rel > tol.fd_match), rel.max())
 
 
 AUDIT_CHECK_NAMES = [

@@ -19,14 +19,7 @@ import sys
 import numpy as np
 
 from .audit import run_property_audit
-from .coords import (
-    _classify,
-    mvc_gradients,
-    mvc_values,
-    sup_gradient_scan,
-    wachspress_gradients,
-    wachspress_values,
-)
+from .coords import _classify, coordinate_gradients, coordinate_values, sup_gradient_scan
 from .errors import NoConvergence
 from .fem import convergence_study
 from .geometry import (
@@ -54,12 +47,6 @@ def _bbox_lattice(p, n: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _coordinate_functions(kind: str):
-    if kind == "mvc":
-        return mvc_values, mvc_gradients
-    return wachspress_values, wachspress_gradients
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     """Per-point CSV dump of coordinates and their gradients.
 
@@ -82,14 +69,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pts = np.asarray(fixed, dtype=float).reshape(-1, 2)
     if args.grid:
         pts = np.concatenate([pts, _bbox_lattice(p, args.grid)])
-    val_fn, grad_fn = _coordinate_functions(args.kind)
 
     n = len(p.vertices)
     outside, band, interior = _classify(p, pts)
     lam = np.empty((len(pts), n))
     grad = np.empty((len(pts), n, 2))
-    lam[band] = val_fn(p, pts[band])
-    basis = grad_fn(p, pts[interior])
+    lam[band] = coordinate_values(p, pts[band], args.kind)
+    basis = coordinate_gradients(p, pts[interior], args.kind)
     lam[interior] = basis.values
     grad[interior] = basis.gradients
 
@@ -163,10 +149,9 @@ def cmd_pentagon_study(args: argparse.Namespace) -> int:
             rows.append(f"{a:g},{kind},{scan.overall_max:.6g}")
             if surface is None:
                 continue
-            _, grad_fn = _coordinate_functions(kind)
             lattice = _bbox_lattice(p, args.grid)
             pts = lattice[_classify(p, lattice)[2]]
-            basis = grad_fn(p, pts)
+            basis = coordinate_gradients(p, pts, kind)
             apex_i = len(p.vertices) - 1
             for (x, y), lam, (gx, gy) in zip(
                 pts, basis.values[:, apex_i], basis.gradients[:, apex_i]
@@ -232,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--gamma-star", type=float, default=6.0,
                     help="largest acceptable aspect ratio (default 6)")
     cp.add_argument("--d-star", type=float, default=0.1,
-                    help="smallest acceptable edge length at unit diameter (default 0.1)")
+                    help="smallest acceptable distance between two vertices at unit "
+                    "diameter (default 0.1)")
     cp.add_argument("--out", help="output file (default stdout)")
     cp.set_defaults(func=cmd_check_polygon)
 

@@ -19,7 +19,7 @@ from .errors import (
     PointTooCloseToBoundary,
     StepTooLarge,
 )
-from .geometry import Polygon, _rot_ccw, point_geometry_batch
+from .geometry import PointGeometryArrays, Polygon, _rot_ccw, point_geometry_batch
 
 _COLLINEAR_TOL = 1e-9
 
@@ -83,40 +83,49 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise EvaluationError(f"non-finite {what}; point too close to the boundary?")
 
 
-def _mvc_interior(p: Polygon, X: np.ndarray, gradients: bool) -> BasisEval:
-    g = point_geometry_batch(p, X, gradients=gradients)
-    t_prev = np.roll(g.t, 1, axis=1)
-    w = (t_prev + g.t) / g.r
+def _normalized(w: np.ndarray, gw: np.ndarray | None, kind: str) -> BasisEval:
+    """Coordinates w / sum(w) from weights (m, n) and, when given, their
+    gradients from weight gradients (m, n, 2) by the quotient rule; both
+    must come out finite."""
     total = np.sum(w, axis=1, keepdims=True)
     lam = w / total
-    if not gradients:
+    _require_finite(lam, f"{kind} values")
+    if gw is None:
         return BasisEval(values=lam)
-    gt_prev = np.roll(g.grad_t, 1, axis=1)
-    gw = (gt_prev + g.grad_t) / g.r[:, :, None] - (w / g.r)[:, :, None] * g.grad_r
     gtotal = np.sum(gw, axis=1, keepdims=True)
     glam = (gw - lam[:, :, None] * gtotal) / total[:, :, None]
+    _require_finite(glam, f"{kind} gradients")
     return BasisEval(values=lam, gradients=glam)
 
 
-def _wachspress_interior(p: Polygon, X: np.ndarray, gradients: bool) -> BasisEval:
-    g = point_geometry_batch(p, X, gradients=False)
+def _mvc_weights(g: PointGeometryArrays) -> np.ndarray:
+    """Mean value weights (t_{i-1} + t_i) / r_i, shape (m, n)."""
+    return (np.roll(g.t, 1, axis=1) + g.t) / g.r
+
+
+def _mvc_interior(p: Polygon, g: PointGeometryArrays, gradients: bool) -> BasisEval:
+    w = _mvc_weights(g)
+    gw = None
+    if gradients:
+        gt_prev = np.roll(g.grad_t, 1, axis=1)
+        gw = (gt_prev + g.grad_t) / g.r[:, :, None] - (w / g.r)[:, :, None] * g.grad_r
+    return _normalized(w, gw, "mvc")
+
+
+def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool) -> BasisEval:
     area = 0.5 * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
     area_prev = np.roll(area, 1, axis=1)
     e = p.edge_vectors
     corner = 0.5 * (np.roll(e, 1, axis=0)[:, 0] * e[:, 1] - np.roll(e, 1, axis=0)[:, 1] * e[:, 0])
     w = corner[None, :] / (area_prev * area)
-    total = np.sum(w, axis=1, keepdims=True)
-    lam = w / total
-    if not gradients:
-        return BasisEval(values=lam)
-    # grad A_i is constant: half the CCW normal of edge i
-    ga = 0.5 * _rot_ccw(e)
-    ga_prev = np.roll(ga, 1, axis=0)
-    ratio = ga[None, :, :] / area[:, :, None] + ga_prev[None, :, :] / area_prev[:, :, None]
-    gw = -w[:, :, None] * ratio
-    gtotal = np.sum(gw, axis=1, keepdims=True)
-    glam = (gw - lam[:, :, None] * gtotal) / total[:, :, None]
-    return BasisEval(values=lam, gradients=glam)
+    gw = None
+    if gradients:
+        # grad A_i is constant: half the CCW normal of edge i
+        ga = 0.5 * _rot_ccw(e)
+        ga_prev = np.roll(ga, 1, axis=0)
+        ratio = ga[None, :, :] / area[:, :, None] + ga_prev[None, :, :] / area_prev[:, :, None]
+        gw = -w[:, :, None] * ratio
+    return _normalized(w, gw, "wachspress")
 
 
 def _require_strictly_convex(p: Polygon) -> None:
@@ -129,8 +138,10 @@ def _require_strictly_convex(p: Polygon) -> None:
 
 
 def _kernel(p: Polygon, kind: str):
-    """Interior evaluator of a coordinate kind; Wachspress coordinates
-    need every interior angle below pi."""
+    """Interior evaluator ``kernel(p, g, gradients)`` of a coordinate kind
+    on a :func:`point_geometry_batch` object ``g``; it raises
+    EvaluationError on non-finite output. Wachspress coordinates need
+    every interior angle below pi."""
     if kind == "mvc":
         return _mvc_interior
     if kind == "wachspress":
@@ -139,19 +150,23 @@ def _kernel(p: Polygon, kind: str):
     raise ValueError(f"unknown coordinate kind {kind!r}")
 
 
-def _values(p: Polygon, points, kind: str) -> np.ndarray:
+def coordinate_values(p: Polygon, points, kind: str) -> np.ndarray:
+    """Coordinates of kind "mvc" or "wachspress" at one (2,) or many
+    (m, 2) points; see :func:`mvc_values`."""
     kernel = _kernel(p, kind)
     X, single = _as_points(points)
     outside, band, interior = _classify(p, X)
     _reject_outside(outside)
     lam = np.empty((X.shape[0], p.n))
-    lam[interior] = kernel(p, X[interior], gradients=False).values
+    lam[interior] = kernel(p, point_geometry_batch(p, X[interior]), gradients=False).values
     lam[band] = _edge_limit_values(p, X[band])
     _require_finite(lam, f"{kind} values")
     return lam[0] if single else lam
 
 
-def _gradients(p: Polygon, points, kind: str) -> BasisEval:
+def coordinate_gradients(p: Polygon, points, kind: str) -> BasisEval:
+    """Values and analytic gradients of kind "mvc" or "wachspress" at
+    strictly interior points; see :func:`mvc_gradients`."""
     kernel = _kernel(p, kind)
     X, single = _as_points(points)
     outside, band, _ = _classify(p, X)
@@ -160,9 +175,7 @@ def _gradients(p: Polygon, points, kind: str) -> BasisEval:
         raise PointTooCloseToBoundary(
             f"gradients need strictly interior points; index {int(np.argmax(band))} is not"
         )
-    out = kernel(p, X, gradients=True)
-    _require_finite(out.values, f"{kind} values")
-    _require_finite(out.gradients, f"{kind} gradients")
+    out = kernel(p, point_geometry_batch(p, X), gradients=True)
     if single:
         return BasisEval(values=out.values[0], gradients=out.gradients[0])
     return out
@@ -174,24 +187,24 @@ def mvc_values(p: Polygon, points) -> np.ndarray:
     Boundary points (within the interior tolerance) get the edge-limit
     values; points outside the polygon raise OutsidePolygon.
     """
-    return _values(p, points, "mvc")
+    return coordinate_values(p, points, "mvc")
 
 
 def mvc_gradients(p: Polygon, points) -> BasisEval:
     """Mean value coordinate values and analytic gradients at strictly
     interior points."""
-    return _gradients(p, points, "mvc")
+    return coordinate_gradients(p, points, "mvc")
 
 
 def wachspress_values(p: Polygon, points) -> np.ndarray:
     """Wachspress coordinates; requires every interior angle < pi."""
-    return _values(p, points, "wachspress")
+    return coordinate_values(p, points, "wachspress")
 
 
 def wachspress_gradients(p: Polygon, points) -> BasisEval:
     """Wachspress values and analytic gradients at strictly interior
     points; requires every interior angle < pi."""
-    return _gradients(p, points, "wachspress")
+    return coordinate_gradients(p, points, "wachspress")
 
 
 def fd_gradient(p: Polygon, points, kind: str = "mvc", step: float | None = None) -> np.ndarray:
@@ -216,7 +229,7 @@ def fd_gradient(p: Polygon, points, kind: str = "mvc", step: float | None = None
     m = X.shape[0]
     shifts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     stencil = (X[:, None, :] + shifts[None, :, :]).reshape(m * 4, 2)
-    vals = kernel(p, stencil, gradients=False).values.reshape(m, 4, p.n)
+    vals = kernel(p, point_geometry_batch(p, stencil), gradients=False).values.reshape(m, 4, p.n)
     grad = np.stack([vals[:, 0] - vals[:, 1], vals[:, 2] - vals[:, 3]], axis=2) / (2.0 * h)
     return grad[0] if single else grad
 
@@ -304,8 +317,7 @@ def sup_gradient_scan(
         raise ValueError("margin must exceed the interior tolerance")
     kernel = _kernel(p, kind)
     pts = _scan_grid(p, resolution, margin)
-    out = kernel(p, pts, gradients=True)
-    _require_finite(out.gradients, f"{kind} gradients")
+    out = kernel(p, point_geometry_batch(p, pts), gradients=True)
     norms = np.hypot(out.gradients[:, :, 0], out.gradients[:, :, 1])
     rows = np.argmax(norms, axis=0)
     per_vertex = norms[rows, np.arange(p.n)]

@@ -158,16 +158,12 @@ def _chunks(origins: np.ndarray, points: np.ndarray):
         yield sl, (origins[sl][:, None, :] + points[None, :, :]).reshape(-1, 2)
 
 
-def assemble(
-    mesh: Mesh,
-    u_exact: ScalarField,
-    degree: int = DEFAULT_ASSEMBLY_RULE[0],
-    subdivision: int = DEFAULT_ASSEMBLY_RULE[1],
-) -> LinearSystem:
+def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
     """Stiffness and load for -Δu = f with f = u_exact.source, Dirichlet
-    data u_exact on the boundary nodes, eliminated by rhs lift."""
+    data u_exact on the boundary nodes, eliminated by rhs lift; quadrature
+    by DEFAULT_ASSEMBLY_RULE."""
     n_nodes = mesh.n_nodes
-    rule, basis, origins = _tabulate(mesh, degree, subdivision)
+    rule, basis, origins = _tabulate(mesh, *DEFAULT_ASSEMBLY_RULE)
     g = basis.gradients
     k_loc = np.einsum("q,qia,qja->ij", rule.weights, g, g)
     rows = np.repeat(mesh.elements, 8, axis=1).ravel()
@@ -252,16 +248,11 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None)
     return coeffs
 
 
-def solution_errors(
-    mesh: Mesh,
-    coeffs: np.ndarray,
-    u_exact: ScalarField,
-    degree: int = DEFAULT_ERROR_RULE[0],
-    subdivision: int = DEFAULT_ERROR_RULE[1],
-) -> tuple[float, float]:
-    """Quadrature L2 and H1-seminorm errors of the discrete solution."""
+def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tuple[float, float]:
+    """Quadrature L2 and H1-seminorm errors of the discrete solution, by
+    DEFAULT_ERROR_RULE."""
     coeffs = np.asarray(coeffs, dtype=float)
-    rule, basis, origins = _tabulate(mesh, degree, subdivision)
+    rule, basis, origins = _tabulate(mesh, *DEFAULT_ERROR_RULE)
     w = rule.weights
     n_q = w.size
     phi_t = basis.values.T
@@ -352,13 +343,7 @@ def _rates(errors: list[float]) -> list[float]:
     return out
 
 
-def convergence_study(
-    levels,
-    u_exact: ScalarField | None = None,
-    assembly_rule: tuple[int, int] = DEFAULT_ASSEMBLY_RULE,
-    error_rule: tuple[int, int] = DEFAULT_ERROR_RULE,
-    tol: float = 1e-10,
-) -> ConvergenceReport:
+def convergence_study(levels, u_exact: ScalarField | None = None) -> ConvergenceReport:
     """Solve the Dirichlet problem on each mesh level and report errors
     and rates. Levels must be strictly increasing."""
     levels = [int(n) for n in levels]
@@ -369,9 +354,8 @@ def convergence_study(
     l2s, h1s = [], []
     for n in levels:
         mesh = build_mesh(n)
-        system = assemble(mesh, u_exact, *assembly_rule)
-        coeffs = solve(system, tol=tol)
-        l2, h1 = solution_errors(mesh, coeffs, u_exact, *error_rule)
+        coeffs = solve(assemble(mesh, u_exact))
+        l2, h1 = solution_errors(mesh, coeffs, u_exact)
         l2s.append(l2)
         h1s.append(h1)
     return ConvergenceReport(

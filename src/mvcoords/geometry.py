@@ -265,19 +265,6 @@ def geometric_constants(p: Polygon) -> GeometricConstants:
     )
 
 
-def _segment_segment_distance(a0, a1, b0, b1) -> float:
-    """Distance between two non-crossing closed segments."""
-    def point_seg(q, s0, s1):
-        d = s1 - s0
-        tt = np.clip(np.dot(q - s0, d) / np.dot(d, d), 0.0, 1.0)
-        return float(np.hypot(*(q - (s0 + tt * d))))
-
-    return min(
-        point_seg(a0, b0, b1), point_seg(a1, b0, b1),
-        point_seg(b0, a0, a1), point_seg(b1, a0, a1),
-    )
-
-
 def compute_hstar(p: Polygon) -> float:
     """Largest verified radius h such that no ball B(x, h) centered in the
     polygon meets two non-adjacent edges or three edges.
@@ -286,24 +273,21 @@ def compute_hstar(p: Polygon) -> float:
     edge pairs (any three edges of such a polygon contain a non-adjacent
     pair, so the pair bound also enforces the three-edge clause). Edges are
     adjacent when they share a vertex, so the two halves of a subdivided
-    side count as adjacent.
+    side count as adjacent. Non-adjacent edges of a convex polygon do not
+    cross, so each pair's distance is attained at an end point: the
+    minimum runs over every vertex against every edge not incident to it,
+    and for n >= 4 each such vertex and edge lie on a non-adjacent pair.
 
     For triangles every edge pair is adjacent and only the three-edge
     clause binds: h* is the minimum over the triangle of the largest edge
     distance, attained at the incenter, so it is the inradius 2A / P.
     """
-    v = p.vertices
-    n = p.n
-    if n == 3:
+    if p.n == 3:
         return 2.0 * p.area / float(p.edge_lengths.sum())
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j - i == 1 or j - i == n - 1:  # cyclic neighbors share a vertex
-                continue
-            d = _segment_segment_distance(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n])
-            best = min(best, d)
-    return 0.5 * best
+    dist = p.edge_distances(p.vertices)
+    k = np.arange(p.n)
+    dist[k, k] = dist[k, k - 1] = np.inf  # vertex k ends edges k - 1 and k
+    return 0.5 * float(dist.min())
 
 
 def normalize_to_unit_diameter(p: Polygon) -> Polygon:
@@ -326,58 +310,82 @@ def apex_pentagon(height: float) -> Polygon:
     return Polygon([(-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, height)])
 
 
-@dataclass
 class PointGeometryArrays:
-    """Vectorized per-point geometry for a batch of evaluation points.
+    """Per-point geometry of m evaluation points against the n vertices.
 
-    All arrays have shape (m, n) or (m, n, 2) for m points and n vertices.
-    ``cross`` and ``dot`` are of the vertex-to-point vector pairs
-    (v_i - x, v_{i+1} - x); twice the signed triangle area A(x, v_i, v_{i+1})
-    is ``cross``. Gradient arrays are None unless requested.
+    Fields are computed on first use and kept, so a caller pays only for
+    what it reads: ``r`` (distances r_i), ``cross`` and ``dot`` of the
+    vertex-to-point vector pairs (v_i - x, v_{i+1} - x), ``alpha``
+    (subtended angles alpha_i), ``t`` (half-angle tangents t_i), and the
+    gradients ``grad_r``, ``grad_alpha`` and ``grad_t``. Arrays have shape
+    (m, n) or, for gradients, (m, n, 2); ``cross`` is twice the signed
+    triangle area A(x, v_i, v_{i+1}).
     """
 
-    r: np.ndarray
-    cross: np.ndarray
-    dot: np.ndarray
-    alpha: np.ndarray
-    t: np.ndarray
-    grad_r: np.ndarray | None = None
-    grad_alpha: np.ndarray | None = None
-    grad_t: np.ndarray | None = None
+    def __init__(self, p: Polygon, points) -> None:
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        # x - v_i, shape (m, n, 2): five fields read it, so it is kept
+        self._d = X[:, None, :] - p.vertices[None, :, :]
+
+    def _d_next(self) -> np.ndarray:
+        return np.roll(self._d, -1, axis=1)
+
+    def _r_next(self) -> np.ndarray:
+        return np.roll(self.r, -1, axis=1)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return np.hypot(self._d[:, :, 0], self._d[:, :, 1])
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        d, d_next = self._d, self._d_next()
+        return d[:, :, 0] * d_next[:, :, 1] - d[:, :, 1] * d_next[:, :, 0]
+
+    @cached_property
+    def dot(self) -> np.ndarray:
+        return np.sum(self._d * self._d_next(), axis=2)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return np.arctan2(self.cross, self.dot)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        rr = self.r * self._r_next()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.dot >= 0.0, self.cross / (rr + self.dot),
+                            (rr - self.dot) / self.cross)
+
+    @cached_property
+    def grad_r(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._d / self.r[:, :, None]
+
+    @cached_property
+    def grad_alpha(self) -> np.ndarray:
+        r, r_next = self.r, self._r_next()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (_rot_cw(self._d) / (r * r)[:, :, None]
+                    + _rot_ccw(self._d_next()) / (r_next * r_next)[:, :, None])
+
+    @cached_property
+    def grad_t(self) -> np.ndarray:
+        # grad t = grad alpha / (2 cos^2(alpha/2)) and
+        # 2 cos^2(alpha/2) = 1 + cos alpha = (r_i r_{i+1} + dot) / (r_i r_{i+1})
+        rr = self.r * self._r_next()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.grad_alpha * (rr / (rr + self.dot))[:, :, None]
 
 
-def point_geometry_batch(p: Polygon, points, gradients: bool = False) -> PointGeometryArrays:
-    """Distances r_i, subtended angles alpha_i, half-angle tangents t_i
-    (and optionally their gradients) at each point of an (m, 2) batch.
+def point_geometry_batch(p: Polygon, points) -> PointGeometryArrays:
+    """Distances r_i, subtended angles alpha_i, half-angle tangents t_i and
+    their gradients at each point of an (m, 2) batch, each computed when
+    first read.
 
     Pure array computation with no interiority checks; callers gate the
     points. Angles come from atan2 of cross/dot, and tangents use
     cross / (r_i r_{i+1} + dot) or its reciprocal-cancellation-free
     counterpart, so both stay accurate near alpha = 0 and alpha = pi.
     """
-    v = p.vertices
-    X = np.atleast_2d(np.asarray(points, dtype=float))
-    d = X[:, None, :] - v[None, :, :]
-    d_next = np.roll(d, -1, axis=1)
-    r = np.hypot(d[:, :, 0], d[:, :, 1])
-    r_next = np.roll(r, -1, axis=1)
-    # cross/dot of (v_i - x, v_{i+1} - x); equals cross/dot of (d_i, d_next_i)
-    cross = d[:, :, 0] * d_next[:, :, 1] - d[:, :, 1] * d_next[:, :, 0]
-    dot = np.sum(d * d_next, axis=2)
-    alpha = np.arctan2(cross, dot)
-    rr = r * r_next
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dot >= 0.0, cross / (rr + dot), (rr - dot) / cross)
-
-    out = PointGeometryArrays(r=r, cross=cross, dot=dot, alpha=alpha, t=t)
-    if gradients:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out.grad_r = d / r[:, :, None]
-            out.grad_alpha = (
-                _rot_cw(d) / (r * r)[:, :, None]
-                + _rot_ccw(d_next) / (r_next * r_next)[:, :, None]
-            )
-            # grad t = grad alpha / (2 cos^2(alpha/2)) and
-            # 2 cos^2(alpha/2) = 1 + cos alpha = (r_i r_{i+1} + dot) / (r_i r_{i+1})
-            out.grad_t = out.grad_alpha * (rr / (rr + dot))[:, :, None]
-    return out
+    return PointGeometryArrays(p, points)

@@ -292,7 +292,7 @@ def field_sin_exp() -> ScalarField:
         x = _batch(x)
         ey = np.exp(x[:, 1])
         s, c = np.sin(x[:, 0]) * ey, np.cos(x[:, 0]) * ey
-        return np.stack([np.stack([-s, c], axis=1), np.stack([c, s], axis=1)], axis=1)
+        return np.stack([-s, c, c, s], axis=1).reshape(-1, 2, 2)
 
     return ScalarField(val, grad, hess, name="sin(x)e^y")
 

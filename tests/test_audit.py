@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mvcoords import audit, coords
 from mvcoords.audit import (
     AUDIT_CHECK_NAMES,
     AuditTolerances,
@@ -11,7 +12,8 @@ from mvcoords.audit import (
     run_property_audit,
     sample_interior,
 )
-from mvcoords.geometry import Polygon, min_vertex_distance
+from mvcoords.errors import EvaluationError
+from mvcoords.geometry import Polygon, min_vertex_distance, point_geometry_batch
 
 
 def test_random_polygons_meet_quality_bounds():
@@ -87,3 +89,39 @@ def test_far_close_vertices_matches_per_angle_loop():
             bad += int(np.any((js != i) & (js != (i + 1) % n)))
         assert bad > 0
         assert _far_close_vertices(small_r, big_a) == (len(rows), bad)
+
+
+@pytest.mark.parametrize("poisoned_call", [0, 1, 2, 3], ids=["x", "xg", "xf", "fd-stencil"])
+def test_audit_rejects_non_finite_mean_value_weights(monkeypatch, poisoned_call):
+    """A NaN weight in one sample would pass every check (NaN > tol is
+    False), so the kernels' finiteness guard has to stop the audit on
+    whichever mean value evaluation it reaches: values at x, gradients at
+    xg and at the FD samples, or the FD stencil."""
+    real = coords._mvc_weights
+    calls = []
+
+    def poisoned(g):
+        w = real(g)
+        if len(calls) == poisoned_call:
+            w[0, 0] = np.nan
+        calls.append(w.shape[0])
+        return w
+
+    monkeypatch.setattr(coords, "_mvc_weights", poisoned)
+    with pytest.raises(EvaluationError):
+        run_property_audit(1, 50)
+    assert len(calls) == poisoned_call + 1
+
+
+def test_audit_builds_five_point_geometries_per_polygon(monkeypatch):
+    """x, xg and the FD samples once each, plus one FD stencil per kind."""
+    calls = []
+
+    def counted(p, points):
+        calls.append(len(points))
+        return point_geometry_batch(p, points)
+
+    monkeypatch.setattr(audit, "point_geometry_batch", counted)
+    monkeypatch.setattr(coords, "point_geometry_batch", counted)
+    run_property_audit(2, 50)
+    assert calls == [50, 50, 20, 40, 40] * 2

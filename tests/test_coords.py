@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from mvcoords.audit import sample_interior
 from mvcoords.coords import (
+    _kernel,
+    _mvc_weights,
     _scan_grid,
     fd_gradient,
     mvc_gradients,
@@ -60,8 +62,7 @@ def test_triangle_matches_areal_values():
 
 def mvc_weights(p, points):
     """Unnormalized mean value weights (t_{i-1} + t_i) / r_i."""
-    g = point_geometry_batch(p, points)
-    return (np.roll(g.t, 1, axis=1) + g.t) / g.r
+    return _mvc_weights(point_geometry_batch(p, points))
 
 
 def test_mvc_weights_square_center():
@@ -100,6 +101,28 @@ def test_wachspress_rejects_flat_vertex():
     # mean value coordinates handle the same polygon fine
     lam = mvc_values(OCT8, (0.5, 0.5))
     assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, values, gradients",
+    [("mvc", mvc_values, mvc_gradients),
+     ("wachspress", wachspress_values, wachspress_gradients)],
+)
+def test_kernel_on_shared_geometry_matches_public_functions(
+    polygon_suite, rng, kind, values, gradients
+):
+    """One point geometry serves a values call and then a gradients call,
+    bit-equal to the public functions that build their own."""
+    for p in polygon_suite[:4]:
+        pts = sample_interior(p, rng, 200, margin=1e-6)
+        g = point_geometry_batch(p, pts)
+        kernel = _kernel(p, kind)
+        lam = kernel(p, g, gradients=False).values
+        out = kernel(p, g, gradients=True)
+        ref = gradients(p, pts)
+        assert np.array_equal(lam, values(p, pts))
+        assert np.array_equal(out.values, ref.values)
+        assert np.array_equal(out.gradients, ref.gradients)
 
 
 # --------------------------------------------------------- boundary behavior
@@ -221,7 +244,7 @@ def test_grad_alpha_triangle_inequality_bound(polygon_suite, rng):
 
     for p in polygon_suite[:4]:
         pts = sample_interior(p, rng, 500)
-        g = point_geometry_batch(p, pts, gradients=True)
+        g = point_geometry_batch(p, pts)
         bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=1)
         norms = np.hypot(g.grad_alpha[:, :, 0], g.grad_alpha[:, :, 1])
         assert np.all(norms <= bound * (1.0 + 1e-9))

@@ -226,6 +226,33 @@ def test_hstar_sampling_oracle(rng):
     assert compute_hstar(p) == pytest.approx(best / 2.0, rel=1e-4)
 
 
+def hstar_pair_loop(p):
+    """Half the smallest distance over non-adjacent closed edge pairs, each
+    pair's distance the least of its four end point to segment distances."""
+    def point_seg(q, s0, s1):
+        d = s1 - s0
+        tt = np.clip(np.dot(q - s0, d) / np.dot(d, d), 0.0, 1.0)
+        return float(np.hypot(*(q - (s0 + tt * d))))
+
+    v, n = p.vertices, p.n
+    best = np.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j - i == 1 or j - i == n - 1:  # cyclic neighbors share a vertex
+                continue
+            a0, a1, b0, b1 = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
+            best = min(best, point_seg(a0, b0, b1), point_seg(a1, b0, b1),
+                       point_seg(b0, a0, a1), point_seg(b1, a0, a1))
+    return 0.5 * best
+
+
+def test_hstar_matches_pair_loop(polygon_suite):
+    polys = [SQUARE, OCT8, HEXAGON] + list(polygon_suite)
+    polys += [apex_pentagon(a) for a in (1.5, 1.1, 1.01, 1.001)]
+    for p in polys:
+        assert compute_hstar(p) == pytest.approx(hstar_pair_loop(p), rel=1e-14)
+
+
 def test_hstar_bounded_by_half_min_edge(polygon_suite):
     # d_min is the all-pairs vertex distance, never above the shortest edge;
     # non-strict: equality happens whenever the shortest edge sits between
@@ -299,12 +326,22 @@ def test_angle_sum_random_points(polygon_suite, rng):
         assert np.all(g.r > 0)
 
 
+def test_point_geometry_fields_computed_on_first_use():
+    g = point_geometry_batch(SQUARE, [(0.5, 0.5), (0.25, 0.75)])
+    assert not {"r", "cross", "dot", "alpha", "t"} & set(vars(g))
+    t = g.t
+    assert g.t is t
+    # the tangents read r, cross and dot; nothing else is kept
+    assert {"r", "cross", "dot", "t"} <= set(vars(g))
+    assert not {"alpha", "grad_r", "grad_alpha", "grad_t"} & set(vars(g))
+
+
 def test_point_geometry_gradients_match_fd():
     p = apex_pentagon(1.5)
     x = np.array([0.3, 0.4])
     h = 1e-7
     stencil = x + h * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    g = point_geometry_batch(p, stencil, gradients=True)
+    g = point_geometry_batch(p, stencil)
     for dim in range(2):
         plus, minus = 1 + 2 * dim, 2 + 2 * dim
         for name in ("r", "alpha", "t"):

@@ -131,6 +131,19 @@ def test_sin_exp_is_harmonic():
     assert np.abs(field_sin_exp().source(pts)).max() < 1e-12
 
 
+def test_sin_exp_hessian_layout():
+    """Row a of the hessian is the gradient of d u / d x_a."""
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (20, 2))
+    s = np.sin(pts[:, 0]) * np.exp(pts[:, 1])
+    c = np.cos(pts[:, 0]) * np.exp(pts[:, 1])
+    hess = field_sin_exp().hessian(pts)
+    assert hess.shape == (20, 2, 2)
+    assert np.array_equal(hess[:, 0, 0], -s)
+    assert np.array_equal(hess[:, 0, 1], c)
+    assert np.array_equal(hess[:, 1, 0], c)
+    assert np.array_equal(hess[:, 1, 1], s)
+
+
 def test_h2_seminorm_x2():
     rule = fan_quadrature(SQUARE, degree=10, subdivision=2)
     assert h2_seminorm(field_x2(), rule) == pytest.approx(2.0, rel=1e-13)
