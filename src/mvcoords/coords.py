@@ -113,15 +113,20 @@ def _mvc_interior(p: Polygon, g: PointGeometryArrays, gradients: bool) -> BasisE
 
 
 def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool) -> BasisEval:
-    area = 0.5 * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
+    # areas in units of about diameter², so area_prev * area neither
+    # underflows nor overflows at any scale; a power of two scales exactly,
+    # and the coordinates and their gradients do not depend on it
+    s = np.ldexp(1.0, -2 * np.frexp(p.diameter)[1])
+    area = 0.5 * s * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
     area_prev = np.roll(area, 1, axis=1)
     e = p.edge_vectors
-    corner = 0.5 * (np.roll(e, 1, axis=0)[:, 0] * e[:, 1] - np.roll(e, 1, axis=0)[:, 1] * e[:, 0])
+    e_prev = np.roll(e, 1, axis=0)
+    corner = 0.5 * s * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0])
     w = corner[None, :] / (area_prev * area)
     gw = None
     if gradients:
         # grad A_i is constant: half the CCW normal of edge i
-        ga = 0.5 * _rot_ccw(e)
+        ga = 0.5 * s * _rot_ccw(e)
         ga_prev = np.roll(ga, 1, axis=0)
         ratio = ga[None, :, :] / area[:, :, None] + ga_prev[None, :, :] / area_prev[:, :, None]
         gw = -w[:, :, None] * ratio

@@ -11,6 +11,7 @@ and measure errors against the manufactured solution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,11 @@ from .interp import ScalarField, fan_quadrature, field_sin_exp
 
 DEFAULT_ASSEMBLY_RULE = (8, 1)
 DEFAULT_ERROR_RULE = (10, 2)
-# elements per batch of quadrature points in assembly and error norms;
-# bounds the per-chunk point arrays (3,200 points per element by default)
-_CHUNK = 256
+# quadrature points per chunk of elements in assembly and error norms:
+# a chunk's (m, 2) point and field arrays then stay in cache, and its
+# matmuls against the 8 basis functions stay below the size at which
+# OpenBLAS hands work to a second thread that spin-waits between calls
+_CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -152,10 +155,17 @@ def _tabulate(mesh: Mesh, degree: int, subdivision: int):
 
 def _chunks(origins: np.ndarray, points: np.ndarray):
     """Yield (element slice, that chunk's quadrature points as (m, 2)) for
-    consecutive runs of _CHUNK elements."""
-    for start in range(0, origins.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        yield sl, (origins[sl][:, None, :] + points[None, :, :]).reshape(-1, 2)
+    consecutive runs of elements holding at most _CHUNK_POINTS points, and
+    one element per chunk when a single element holds more.
+
+    Each point is its element's origin plus a reference point, added as
+    flat rows so numpy does not loop over a length-2 innermost axis."""
+    n_q = points.shape[0]
+    step = max(1, _CHUNK_POINTS // n_q)
+    flat = points.reshape(1, -1)
+    for start in range(0, origins.shape[0], step):
+        sl = slice(start, start + step)
+        yield sl, (np.tile(origins[sl], (1, n_q)) + flat).reshape(-1, 2)
 
 
 def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
@@ -195,6 +205,13 @@ def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
     )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two vectors without BLAS: OpenBLAS runs dots longer than
+    10,000 entries on two threads, so CG's wall time would hang on a second
+    core and its rounding on how many cores the machine has."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients on the reduced system;
     returns the full nodal coefficient vector (boundary values included).
@@ -214,7 +231,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None)
     diag = a.diagonal()
     if np.any(diag <= 0.0):
         raise NoConvergence("non-positive diagonal entry; system is not SPD")
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0.0:
         coeffs[system.dof_map] = 0.0
         return coeffs
@@ -222,25 +239,25 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None)
     r = b.copy()
     z = r / diag
     p = r / diag
-    rz = float(r @ z)
+    rz = _dot(r, z)
     converged = False
     for _ in range(max_iter):
         ap = a @ p
-        pap = float(p @ ap)
+        pap = _dot(p, ap)
         if pap <= 0.0:
             raise NoConvergence("curvature p.Ap <= 0; system is not positive definite")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol * b_norm:
+        if math.sqrt(_dot(r, r)) <= tol * b_norm:
             converged = True
             break
         z = r / diag
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     if not converged:
-        rel = float(np.linalg.norm(r)) / b_norm
+        rel = math.sqrt(_dot(r, r)) / b_norm
         raise NoConvergence(
             f"no convergence in {max_iter} iterations (relative residual {rel:.3e})"
         )

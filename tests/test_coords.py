@@ -8,6 +8,7 @@ from mvcoords.audit import sample_interior
 from mvcoords.coords import (
     _kernel,
     _mvc_weights,
+    _normalized,
     _scan_grid,
     fd_gradient,
     mvc_gradients,
@@ -22,7 +23,7 @@ from mvcoords.errors import (
     PointTooCloseToBoundary,
     StepTooLarge,
 )
-from mvcoords.geometry import Polygon, apex_pentagon, point_geometry_batch
+from mvcoords.geometry import Polygon, _rot_ccw, apex_pentagon, point_geometry_batch
 
 SQUARE = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 TRI = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -211,17 +212,37 @@ def test_gradients_match_fd(polygon_suite, rng):
 
 def test_similarity_invariance(polygon_suite, rng):
     """Values are invariant under scale + translation; gradients pick up
-    the 1/scale factor."""
+    the 1/scale factor, for both kinds from scale 1e-150 to 1e150."""
     p = polygon_suite[0]
     pts = sample_interior(p, rng, 25, margin=1e-3)
-    base = mvc_gradients(p, pts)
-    for _ in range(10):
-        s = float(rng.uniform(0.1, 10.0))
-        shift = rng.uniform(-5.0, 5.0, 2)
-        q = Polygon(s * p.vertices + shift)
-        out = mvc_gradients(q, s * pts + shift)
-        assert np.abs(out.values - base.values).max() < 1e-12
-        assert np.abs(out.gradients * s - base.gradients).max() < 1e-9
+    for fn in (mvc_gradients, wachspress_gradients):
+        base = fn(p, pts)
+        for s in [*rng.uniform(0.1, 10.0, 10), 1e-150, 1e-100, 1e100, 1e150]:
+            shift = s * rng.uniform(-5.0, 5.0, 2)
+            q = Polygon(s * p.vertices + shift)
+            out = fn(q, s * pts + shift)
+            assert np.abs(out.values - base.values).max() < 1e-12
+            assert np.abs(out.gradients * s - base.gradients).max() < 1e-9
+
+
+def test_wachspress_area_scaling_is_exact(polygon_suite, rng):
+    """The kernel's power-of-two area scaling changes no bit against the
+    unscaled formula wherever that formula stays in range."""
+    for p in polygon_suite:
+        pts = sample_interior(p, rng, 50, margin=1e-3)
+        g = point_geometry_batch(p, pts)
+        area = 0.5 * g.cross
+        area_prev = np.roll(area, 1, axis=1)
+        e = p.edge_vectors
+        e_prev = np.roll(e, 1, axis=0)
+        w = 0.5 * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]) / (area_prev * area)
+        ga = 0.5 * _rot_ccw(e)
+        ratio = ga / area[:, :, None] + np.roll(ga, 1, axis=0) / area_prev[:, :, None]
+        ref = _normalized(w, -w[:, :, None] * ratio, "wachspress")
+        out = wachspress_gradients(p, pts)
+        assert np.array_equal(wachspress_values(p, pts), ref.values)
+        assert np.array_equal(out.values, ref.values)
+        assert np.array_equal(out.gradients, ref.gradients)
 
 
 def test_fd_step_validation():

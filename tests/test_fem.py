@@ -1,6 +1,10 @@
 """Octagonal-element Poisson solver: meshing, assembly, solve, convergence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,17 +211,55 @@ def test_batched_path_matches_per_element_reference():
 
 
 def test_ragged_final_chunk(monkeypatch):
-    """25 elements in chunks of 7 leave a final chunk of 4; chunking only
-    regroups sums, so the results match the single-chunk ones."""
+    """Chunking only regroups sums: the default chunks and chunks of 7
+    elements (25 elements leave a final chunk of 4) match one chunk."""
     mesh = build_mesh(5)
-    assert mesh.n_elements <= fem._CHUNK
     u = field_x2()
-    system = assemble(mesh, u)
-    coeffs = solve(system)
-    l2, h1 = solution_errors(mesh, coeffs, u)
-    monkeypatch.setattr(fem, "_CHUNK", 7)
-    assert_allclose(assemble(mesh, u).rhs, system.rhs, rtol=1e-13)
-    assert_allclose(solution_errors(mesh, coeffs, u), [l2, h1], rtol=1e-13)
+    coeffs = solve(assemble(mesh, u))
+    default = (assemble(mesh, u).rhs, solution_errors(mesh, coeffs, u))
+    q_asm, q_err = (fem._tabulate(mesh, *rule)[0].weights.size
+                    for rule in (DEFAULT_ASSEMBLY_RULE, DEFAULT_ERROR_RULE))
+    assert mesh.n_elements * q_err > fem._CHUNK_POINTS
+
+    def chunked(elements_per_chunk):
+        monkeypatch.setattr(fem, "_CHUNK_POINTS", elements_per_chunk * q_asm)
+        rhs = assemble(mesh, u).rhs
+        monkeypatch.setattr(fem, "_CHUNK_POINTS", elements_per_chunk * q_err)
+        return rhs, solution_errors(mesh, coeffs, u)
+
+    one_rhs, one_errors = chunked(mesh.n_elements)
+    for rhs, errors in (default, chunked(7)):
+        assert_allclose(rhs, one_rhs, rtol=1e-13)
+        assert_allclose(errors, one_errors, rtol=1e-13)
+
+
+def test_chunks_cover_elements_within_the_point_budget():
+    """Chunks are contiguous runs covering every element once, hold at
+    most _CHUNK_POINTS points, and their points are bit-equal to origin +
+    reference point; a rule with more points than the budget still gets
+    one element per chunk. The 81 elements leave a ragged final chunk
+    under both default rules."""
+    mesh = build_mesh(9)
+    mesh_origins = fem._reference_layout(mesh)[1]
+    oversized = np.random.default_rng(3).uniform(0.0, 0.1, (fem._CHUNK_POINTS + 1, 2))
+    cases = [(fem._tabulate(mesh, *rule)[0].points, mesh_origins)
+             for rule in (DEFAULT_ASSEMBLY_RULE, DEFAULT_ERROR_RULE)]
+    cases.append((oversized, mesh_origins[:3]))
+    for points, origins in cases:
+        n_q = points.shape[0]
+        elements = np.arange(origins.shape[0])
+        chunks = list(fem._chunks(origins, points))
+        covered = [elements[sl] for sl, _ in chunks]
+        assert np.array_equal(np.concatenate(covered), elements)
+        for idx, (_, pts) in zip(covered, chunks):
+            assert pts.shape == (idx.size * n_q, 2)
+            assert pts.shape[0] <= fem._CHUNK_POINTS or idx.size == 1
+        if n_q > fem._CHUNK_POINTS:
+            assert all(idx.size == 1 for idx in covered)
+        else:
+            assert 0 < covered[-1].size < covered[0].size
+        ref = (origins[:, None, :] + points[None]).reshape(-1, 2)
+        assert np.array_equal(np.concatenate([pts for _, pts in chunks]), ref)
 
 
 def test_non_translate_element_rejected():
@@ -260,6 +302,29 @@ def test_indefinite_matrix_raises():
     # positive diagonal but eigenvalues 3 and -1: CG meets negative curvature
     with pytest.raises(NoConvergence):
         solve(diag_system([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0]))
+
+
+SOLVE_DIGEST = """
+import hashlib
+from mvcoords.fem import assemble, build_mesh, solve
+from mvcoords.interp import field_sin_exp
+x = solve(assemble(build_mesh(64), field_sin_exp()))
+print(hashlib.sha256(x.tobytes()).hexdigest())
+"""
+
+
+def test_solve_does_not_depend_on_blas_threads():
+    # n=64 has 12,545 free DOFs, enough for OpenBLAS to split a BLAS dot
+    # over two threads, which rounds differently from one thread
+    src = str(Path(fem.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", SOLVE_DIGEST],
+                                env=env, capture_output=True, text=True, check=True)
+        digests.add(result.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_iteration_cap_raises():
