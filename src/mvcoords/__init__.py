@@ -8,7 +8,6 @@ from .audit import (
     sample_interior,
 )
 from .coords import (
-    BasisEval,
     ScanResult,
     fd_gradient,
     mvc_gradients,
@@ -39,7 +38,6 @@ from .fem import (
     assemble,
     build_mesh,
     convergence_study,
-    save_mesh,
     solution_errors,
     solve,
 )
@@ -53,7 +51,6 @@ from .geometry import (
     min_vertex_distance,
     normalize_to_unit_diameter,
     polygon_from_json,
-    polygon_to_json,
     save_polygon,
 )
 from .interp import (
@@ -68,7 +65,6 @@ from .interp import (
     field_xy,
     field_y2,
     h2_seminorm,
-    interpolate,
     standard_fields,
     triangle_rule,
 )

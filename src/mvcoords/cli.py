@@ -169,8 +169,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
     levels = [int(s) for s in args.levels.split(",")]
     if any(n < 1 or n > 128 for n in levels):
         raise ValueError("levels must lie in 1..128")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
     report = convergence_study(levels)
     if args.format == "csv":
         text = report.to_csv()

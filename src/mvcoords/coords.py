@@ -252,12 +252,6 @@ class ScanResult:
     overall_max: float
     overall_vertex: int
 
-    def to_csv(self) -> str:
-        lines = ["vertex_index,max_grad_norm"]
-        for i, g in enumerate(self.per_vertex_max):
-            lines.append(f"{i},{g:.9e}")
-        return "\n".join(lines) + "\n"
-
 
 def _scan_grid(p: Polygon, resolution: int, margin: float) -> np.ndarray:
     """Axis-aligned scan points covering {x : dist(x, boundary) >= margin}.

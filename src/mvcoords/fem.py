@@ -38,7 +38,6 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
-    n: int
 
     @property
     def n_nodes(self) -> int:
@@ -47,21 +46,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    def element_polygon(self, e: int) -> Polygon:
-        return Polygon(self.nodes[self.elements[e]])
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "nodes": self.nodes.tolist(),
-            "elements": self.elements.tolist(),
-            "boundary": self.boundary_nodes.tolist(),
-        })
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(mesh.to_json())
 
 
 def build_mesh(n: int) -> Mesh:
@@ -94,15 +78,12 @@ def build_mesh(n: int) -> Mesh:
         return n_c + n_h + j * (n + 1) + i
 
     nodes = np.concatenate([corners, hmid, vmid])
-    elems = np.empty((n * n, 8), dtype=np.int64)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            elems[k] = [
-                corner(i, j), hm(i, j), corner(i + 1, j), vm(i + 1, j),
-                corner(i + 1, j + 1), hm(i, j + 1), corner(i, j + 1), vm(i, j),
-            ]
-            k += 1
+    # element k = j * n + i is the cell [i, i+1] x [j, j+1] (scaled by 1/n)
+    jj, ii = np.divmod(np.arange(n * n), n)
+    elems = np.stack([
+        corner(ii, jj), hm(ii, jj), corner(ii + 1, jj), vm(ii + 1, jj),
+        corner(ii + 1, jj + 1), hm(ii, jj + 1), corner(ii, jj + 1), vm(ii, jj),
+    ], axis=1)
     on_edge = (
         (nodes[:, 0] == 0.0) | (nodes[:, 1] == 0.0)
         | (np.abs(nodes[:, 0] - 1.0) < 1e-15) | (np.abs(nodes[:, 1] - 1.0) < 1e-15)
@@ -111,7 +92,6 @@ def build_mesh(n: int) -> Mesh:
         nodes=nodes,
         elements=elems,
         boundary_nodes=np.flatnonzero(on_edge),
-        n=n,
     )
 
 
@@ -124,7 +104,6 @@ class LinearSystem:
     dof_map: np.ndarray
     boundary_index: np.ndarray
     boundary_values: np.ndarray
-    full_matrix: sp.csr_matrix
     n_nodes: int
 
 
@@ -200,7 +179,6 @@ def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
         dof_map=free,
         boundary_index=bnd,
         boundary_values=ub,
-        full_matrix=k_full,
         n_nodes=n_nodes,
     )
 
@@ -297,14 +275,12 @@ class ConvergenceReport:
     hs: list[float]
     l2_errors: list[float]
     h1_errors: list[float]
-    l2_rates: list[float] = field(default_factory=list)
-    h1_rates: list[float] = field(default_factory=list)
+    l2_rates: list[float] = field(init=False)
+    h1_rates: list[float] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.l2_rates:
-            self.l2_rates = _rates(self.l2_errors)
-        if not self.h1_rates:
-            self.h1_rates = _rates(self.h1_errors)
+        self.l2_rates = _rates(self.l2_errors)
+        self.h1_rates = _rates(self.h1_errors)
 
     def to_csv(self) -> str:
         lines = ["n,h,l2_error,l2_rate,h1_error,h1_rate"]

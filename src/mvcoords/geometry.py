@@ -181,10 +181,6 @@ class Polygon:
         return f"Polygon(n={self.n}, diameter={self.diameter:.6g})"
 
 
-def polygon_to_json(p: Polygon) -> str:
-    return json.dumps({"vertices": p.vertices.tolist()})
-
-
 def polygon_from_json(text: str) -> Polygon:
     """Read a polygon from its JSON form ``{"vertices": [[x, y], ...]}``.
 
@@ -202,7 +198,7 @@ def load_polygon(path) -> Polygon:
 
 def save_polygon(p: Polygon, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(polygon_to_json(p))
+        fh.write(json.dumps({"vertices": p.vertices.tolist()}))
 
 
 def _chebyshev_radius(p: Polygon) -> float:
@@ -371,11 +367,10 @@ class PointGeometryArrays:
 
     @cached_property
     def grad_t(self) -> np.ndarray:
-        # grad t = grad alpha / (2 cos^2(alpha/2)) and
-        # 2 cos^2(alpha/2) = 1 + cos alpha = (r_i r_{i+1} + dot) / (r_i r_{i+1})
-        rr = self.r * self._r_next()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.grad_alpha * (rr / (rr + self.dot))[:, :, None]
+        # grad t = grad alpha / (1 + cos alpha) = grad alpha (1 + t^2) / 2,
+        # taken from the cancellation-free t: the form (r_i r_{i+1} + dot)
+        # cancels catastrophically as alpha -> pi, next to an edge
+        return self.grad_alpha * (0.5 * (1.0 + self.t * self.t))[:, :, None]
 
 
 def point_geometry_batch(p: Polygon, points) -> PointGeometryArrays:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coords import mvc_gradients, mvc_values
+from .coords import mvc_gradients
 from .errors import DegenerateDenominator, UnsupportedDegree
 from .geometry import Polygon
 
@@ -139,15 +139,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
-    subdivision: int
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
 def _subdivide_4way(tris: np.ndarray) -> np.ndarray:
@@ -192,7 +183,7 @@ def fan_quadrature(p: Polygon, degree: int = 8, subdivision: int = 1) -> Quadrat
     if subdivision not in range(MAX_SUBDIVISION + 1):
         raise ValueError(f"subdivision must be in 0..{MAX_SUBDIVISION}")
     pts, weights = _map_rule(fan_triangles(p, subdivision), degree)
-    return QuadratureRule(points=pts, weights=weights, degree=degree, subdivision=subdivision)
+    return QuadratureRule(points=pts, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -218,62 +209,39 @@ def _batch(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=float))
 
 
-def field_linear(a: float = 0.25, bx: float = 1.0, by: float = -2.0) -> ScalarField:
+def _quadratic_field(c: float, b, hess, name: str) -> ScalarField:
+    """u = c + b·x + ½ xᵀHx for a constant symmetric Hessian H."""
+    (b0, b1), ((h00, h01), (_, h11)) = b, hess
+    h = np.array(hess, dtype=float)
+
     def val(x):
-        x = _batch(x)
-        return a + bx * x[:, 0] + by * x[:, 1]
+        x, y = _batch(x).T
+        return c + b0 * x + b1 * y + (0.5 * h00 * x * x + h01 * x * y + 0.5 * h11 * y * y)
 
     def grad(x):
-        x = _batch(x)
-        return np.broadcast_to(np.array([bx, by]), (x.shape[0], 2)).copy()
+        x, y = _batch(x).T
+        return np.stack([b0 + h00 * x + h01 * y, b1 + h01 * x + h11 * y], axis=1)
 
-    def hess(x):
-        x = _batch(x)
-        return np.zeros((x.shape[0], 2, 2))
+    def hessian(x):
+        return np.broadcast_to(h, (_batch(x).shape[0], 2, 2)).copy()
 
-    return ScalarField(val, grad, hess, name=f"{a:g}+{bx:g}x+{by:g}y")
+    return ScalarField(val, grad, hessian, name=name)
+
+
+def field_linear(a: float = 0.25, bx: float = 1.0, by: float = -2.0) -> ScalarField:
+    return _quadratic_field(a, (bx, by), ((0.0, 0.0), (0.0, 0.0)), f"{a:g}+{bx:g}x+{by:g}y")
 
 
 def field_x2() -> ScalarField:
-    def hess(x):
-        h = np.zeros((_batch(x).shape[0], 2, 2))
-        h[:, 0, 0] = 2.0
-        return h
-
-    return ScalarField(
-        value=lambda x: _batch(x)[:, 0] ** 2,
-        gradient=lambda x: np.stack([2.0 * _batch(x)[:, 0], np.zeros(_batch(x).shape[0])], axis=1),
-        hessian=hess,
-        name="x^2",
-    )
+    return _quadratic_field(0.0, (0.0, 0.0), ((2.0, 0.0), (0.0, 0.0)), "x^2")
 
 
 def field_xy() -> ScalarField:
-    def hess(x):
-        h = np.zeros((_batch(x).shape[0], 2, 2))
-        h[:, 0, 1] = h[:, 1, 0] = 1.0
-        return h
-
-    return ScalarField(
-        value=lambda x: _batch(x)[:, 0] * _batch(x)[:, 1],
-        gradient=lambda x: _batch(x)[:, ::-1].copy(),
-        hessian=hess,
-        name="xy",
-    )
+    return _quadratic_field(0.0, (0.0, 0.0), ((0.0, 1.0), (1.0, 0.0)), "xy")
 
 
 def field_y2() -> ScalarField:
-    def hess(x):
-        h = np.zeros((_batch(x).shape[0], 2, 2))
-        h[:, 1, 1] = 2.0
-        return h
-
-    return ScalarField(
-        value=lambda x: _batch(x)[:, 1] ** 2,
-        gradient=lambda x: np.stack([np.zeros(_batch(x).shape[0]), 2.0 * _batch(x)[:, 1]], axis=1),
-        hessian=hess,
-        name="y^2",
-    )
+    return _quadratic_field(0.0, (0.0, 0.0), ((0.0, 0.0), (0.0, 2.0)), "y^2")
 
 
 def field_sin_exp() -> ScalarField:
@@ -300,15 +268,6 @@ def field_sin_exp() -> ScalarField:
 def standard_fields() -> list[ScalarField]:
     """The quadratic/analytic fields used by the estimate-ratio studies."""
     return [field_x2(), field_xy(), field_y2(), field_sin_exp()]
-
-
-def interpolate(p: Polygon, nodal_values, points):
-    """Mean value interpolant Σ_i nodal_values[i] λ_i at the points."""
-    nodal = np.asarray(nodal_values, dtype=float)
-    if nodal.shape != (p.n,):
-        raise ValueError(f"need {p.n} nodal values")
-    lam = mvc_values(p, points)
-    return lam @ nodal
 
 
 def error_norms(p: Polygon, u: ScalarField, rule: QuadratureRule) -> tuple[float, float]:

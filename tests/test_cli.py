@@ -91,6 +91,17 @@ def test_eval_boundary_point_keeps_values(polys, capsys):
     assert cells[4] == "" and cells[5] == ""  # no gradient cells
 
 
+def test_eval_point_next_to_edge_is_ok(polys, capsys):
+    """3e-9 from the bottom edge is past the 1e-9 * sqrt(2) boundary band,
+    so the row carries gradients, at their edge limits."""
+    rc, out, _ = run_cli(capsys, "eval", "--polygon", polys["square"],
+                         "--point", "0.5,3e-9")
+    assert rc == 0
+    cells = out.strip().split("\n")[1].split(",")
+    assert cells[2] == "ok"
+    assert cells[3:6] == ["0.5", "-1", "-0.5"]
+
+
 def test_eval_outside_point_run_continues(polys, capsys):
     rc, out, _ = run_cli(capsys, "eval", "--polygon", polys["square"],
                          "--point", "2,2", "--point", "0.5,0.5")
@@ -318,6 +329,13 @@ def test_converge_single_level_no_rates(capsys):
     rc, out, _ = run_cli(capsys, "converge", "--levels", "4", "--format", "json")
     assert rc == 0
     assert json.loads(out)["l2_rates"] == []
+
+
+def test_converge_levels_must_increase(capsys):
+    rc, out, err = run_cli(capsys, "converge", "--levels", "4,2")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: ValueError: levels must be strictly increasing\n"
 
 
 @pytest.mark.parametrize("levels", ["8,4", "2,2", "0,2", "2,200"])

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mvcoords.audit import sample_interior
+from mvcoords.audit import random_convex_polygon, sample_interior
 from mvcoords.coords import (
     _kernel,
     _mvc_weights,
@@ -199,6 +201,38 @@ def test_gradient_identities(polygon_suite, rng):
             assert np.abs(jac - np.eye(2)).max() < 1e-9
 
 
+@pytest.mark.parametrize("y", [1e-8, 5e-9, 3e-9, 2e-9])
+def test_gradients_reach_the_edge_limit(y):
+    """At (0.5, y) the subtended angle of the bottom edge is pi - O(y);
+    the gradient stays within 1e-6 of its edge limit down to y = 2e-9,
+    just past the 1e-9 * sqrt(2) boundary band."""
+    g = mvc_gradients(SQUARE, (0.5, y)).gradients
+    assert_allclose(g[0], [-1.0, -0.5], rtol=0, atol=1e-6)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edge=st.integers(0, 9),
+    along=st.floats(0.05, 0.95),
+    standoff=st.floats(1.5, 1e4),
+)
+def test_gradient_identities_near_edges(seed, edge, along, standoff):
+    """Grad-sum zero and linear precision hold at a point standoff *
+    eps_interior inside an edge of a random unit-diameter polygon, to
+    roundoff amplified by no more than diameter / distance."""
+    p = random_convex_polygon(np.random.default_rng(seed))
+    k = edge % p.n
+    d = standoff * p.eps_interior
+    inward = _rot_ccw(p.edge_vectors[k]) / p.edge_lengths[k]
+    x = p.vertices[k] + along * p.edge_vectors[k] + d * inward
+    g = mvc_gradients(p, x).gradients
+    assert np.all(np.isfinite(g))
+    tol = 16.0 * np.finfo(float).eps / d
+    assert np.abs(g.sum(axis=0)).max() <= tol
+    jac = p.vertices.T @ g
+    assert np.abs(jac - np.eye(2)).max() <= tol * p.diameter
+
+
 def test_gradients_match_fd(polygon_suite, rng):
     for p in polygon_suite[:5]:
         pts = sample_interior(p, rng, 30, margin=0.01 * p.diameter)
@@ -279,14 +313,6 @@ def test_scan_is_deterministic():
     assert a.overall_max == b.overall_max
     assert_allclose(a.per_vertex_max, b.per_vertex_max, rtol=0, atol=0)
     assert_allclose(a.argmax_points, b.argmax_points, rtol=0, atol=0)
-
-
-def test_scan_csv_shape():
-    r = sup_gradient_scan(SQUARE, "mvc", resolution=16)
-    lines = r.to_csv().strip().split("\n")
-    assert lines[0] == "vertex_index,max_grad_norm"
-    assert len(lines) == 1 + SQUARE.n
-    assert lines[1].startswith("0,")
 
 
 def test_scan_validation():

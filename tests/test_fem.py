@@ -22,10 +22,10 @@ from mvcoords.fem import (
     assemble,
     build_mesh,
     convergence_study,
-    save_mesh,
     solution_errors,
     solve,
 )
+from mvcoords.geometry import Polygon
 from mvcoords.interp import fan_quadrature, field_linear, field_sin_exp, field_x2
 
 # measured once with the default rules (assembly degree 8 / subdivision 1,
@@ -34,6 +34,10 @@ from mvcoords.interp import fan_quadrature, field_linear, field_sin_exp, field_x
 STUDY_LEVELS = [2, 4, 8, 16]
 STUDY_L2 = [3.528115534700e-03, 8.661122819589e-04, 2.178271260571e-04, 5.492196187167e-05]
 STUDY_H1 = [7.571734796779e-02, 3.605226659397e-02, 1.765062623080e-02, 8.749081843892e-03]
+
+
+def element_polygon(mesh, e):
+    return Polygon(mesh.nodes[mesh.elements[e]])
 
 
 def diag_system(diag, rhs):
@@ -46,7 +50,6 @@ def diag_system(diag, rhs):
         dof_map=np.arange(rhs.size),
         boundary_index=np.array([], dtype=np.int64),
         boundary_values=np.array([]),
-        full_matrix=m,
         n_nodes=rhs.size,
     )
 
@@ -87,13 +90,16 @@ def test_invalid_size_rejected():
 
 def test_elements_are_degenerate_octagons():
     """Every element is a CCW 8-node loop with area 1/n² and the
-    corner/midside angle pattern 90, 180, 90, 180, ..."""
+    corner/midside angle pattern 90, 180, 90, 180, ..., starting at the
+    lower left corner of its cell; element j * n + i is cell (i, j)."""
     mesh = build_mesh(3)
     want = np.radians([90.0, 180.0] * 4)
     for e in range(mesh.n_elements):
-        poly = mesh.element_polygon(e)
+        poly = element_polygon(mesh, e)
         assert poly.area == pytest.approx(1.0 / 9.0, rel=1e-12)
         assert_allclose(poly.interior_angles, want, atol=1e-12)
+        j, i = divmod(e, 3)
+        assert_allclose(mesh.nodes[mesh.elements[e, 0]], [i / 3, j / 3], rtol=0, atol=0)
 
 
 def test_boundary_tags_match_coordinates():
@@ -110,42 +116,36 @@ def test_every_node_belongs_to_an_element():
     assert np.array_equal(np.unique(mesh.elements), np.arange(mesh.n_nodes))
 
 
-def test_mesh_json_keys_and_round_trip(tmp_path):
-    mesh = build_mesh(2)
-    doc = json.loads(mesh.to_json())
-    assert set(doc) == {"nodes", "elements", "boundary"}
-    assert len(doc["nodes"]) == 21
-    assert len(doc["elements"]) == 4
-    assert all(len(loop) == 8 for loop in doc["elements"])
-
-    path = tmp_path / "mesh.json"
-    save_mesh(mesh, path)
-    again = json.loads(path.read_text())
-    assert again == doc
-
-
 # ------------------------------------------------------------------- assembly
 
 def test_stiffness_row_sums_vanish():
     """Partition of unity makes the gradients sum to zero, so every row of
-    the pre-elimination stiffness matrix sums to zero."""
-    system = assemble(build_mesh(2), field_sin_exp())
-    row_sums = np.asarray(system.full_matrix.sum(axis=1)).ravel()
-    assert np.abs(row_sums).max() < 1e-9
+    the stiffness matrix sums to zero. For constant data (source 0,
+    boundary values c) the reduced system is then K_ff (c 1) = -K_fb (c 1),
+    and its solution is exactly the constant."""
+    c = 1.5
+    system = assemble(build_mesh(2), field_linear(c, 0.0, 0.0))
+    ones = np.full(system.dof_map.size, c)
+    assert np.abs(system.matrix @ ones - system.rhs).max() < 1e-9
+    assert_allclose(solve(system), c, rtol=1e-9)
 
 
 def test_stiffness_symmetric():
     system = assemble(build_mesh(3), field_sin_exp())
-    asym = abs(system.full_matrix - system.full_matrix.T).max()
+    asym = abs(system.matrix - system.matrix.T).max()
     assert asym < 1e-12
 
 
 def test_harmonic_load_is_pure_boundary_lift():
     """sin(x)e^y has zero Laplacian, so the reduced right-hand side is
     exactly the Dirichlet lift -K_fb u_b."""
-    system = assemble(build_mesh(2), field_sin_exp())
+    mesh = build_mesh(2)
+    u = field_sin_exp()
+    system = assemble(mesh, u)
+    k_ref, load_ref, _, _ = per_element_reference(mesh, u, np.zeros(mesh.n_nodes))
+    assert not load_ref.any()
     free, bnd = system.dof_map, system.boundary_index
-    lift = -(system.full_matrix[free][:, bnd] @ system.boundary_values)
+    lift = -(k_ref[free][:, bnd] @ system.boundary_values)
     assert_allclose(system.rhs, lift, rtol=0.0, atol=1e-13)
 
 
@@ -167,7 +167,7 @@ def per_element_reference(mesh, u, coeffs):
     load = np.zeros(n_nodes)
     l2_sq = h1_sq = 0.0
     for e in range(mesh.n_elements):
-        poly = mesh.element_polygon(e)
+        poly = element_polygon(mesh, e)
         idx = mesh.elements[e]
         rule = fan_quadrature(poly, *DEFAULT_ASSEMBLY_RULE)
         basis = mvc_gradients(poly, rule.points)
@@ -201,8 +201,9 @@ def test_batched_path_matches_per_element_reference():
     k_ref, load_ref, l2_ref, h1_ref = per_element_reference(mesh, u, coeffs)
     free, bnd = system.dof_map, system.boundary_index
     rhs_ref = load_ref[free] - k_ref[free][:, bnd] @ system.boundary_values
-    k = system.full_matrix.toarray()
-    assert_allclose(k, k_ref.toarray(), rtol=1e-12, atol=1e-12 * np.abs(k).max())
+    k = system.matrix.toarray()
+    k_ref_ff = k_ref[free][:, free].toarray()
+    assert_allclose(k, k_ref_ff, rtol=1e-12, atol=1e-12 * np.abs(k).max())
     assert np.abs(load_ref).min() > 0.0
     assert_allclose(system.rhs, rhs_ref, rtol=1e-12)
     l2, h1 = solution_errors(mesh, coeffs, u)
@@ -272,7 +273,7 @@ def test_non_translate_element_rejected():
     nodes = mesh.nodes.copy()
     nodes[node] += [0.01, -0.02]
     moved = Mesh(nodes=nodes, elements=mesh.elements,
-                 boundary_nodes=mesh.boundary_nodes, n=mesh.n)
+                 boundary_nodes=mesh.boundary_nodes)
     msg = f"^element {first} is not a translate of element 0$"
     with pytest.raises(NonTranslateElement, match=msg):
         assemble(moved, field_x2())
@@ -390,7 +391,7 @@ def test_linear_study_flags_rates():
 def edge_traces(mesh, e, pts):
     """Map global node index -> basis values of that node's hat on pts,
     evaluated inside element e."""
-    vals = mvc_values(mesh.element_polygon(e), pts)
+    vals = mvc_values(element_polygon(mesh, e), pts)
     return {int(g): vals[:, k] for k, g in enumerate(mesh.elements[e])}
 
 

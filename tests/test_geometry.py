@@ -17,7 +17,6 @@ from mvcoords.geometry import (
     normalize_to_unit_diameter,
     point_geometry_batch,
     polygon_from_json,
-    polygon_to_json,
     save_polygon,
 )
 
@@ -393,8 +392,10 @@ def test_normalize_pentagon_scale():
     assert_allclose(p.vertices, pent.vertices / (2.0 * np.sqrt(2.0)), rtol=1e-14)
 
 
-def test_json_round_trip():
-    s = polygon_to_json(OCT8)
+def test_json_round_trip(tmp_path):
+    path = tmp_path / "oct8.json"
+    save_polygon(OCT8, path)
+    s = path.read_text()
     q = polygon_from_json(s)
     assert_allclose(q.vertices, OCT8.vertices, rtol=0, atol=0)
     # the wire format is a single "vertices" key
