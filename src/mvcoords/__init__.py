@@ -1,7 +1,6 @@
 """Barycentric coordinates on convex polygons and a polygonal FEM pipeline."""
 
 from .audit import (
-    AuditTolerances,
     PropertyAuditReport,
     random_convex_polygon,
     run_property_audit,

@@ -30,6 +30,17 @@ MAX_DRAWS = 2000
 KINDS = ("mvc", "wachspress")
 FD_SAMPLES = 10  # points per kind for the analytic vs FD gradient check
 
+# Slacks for the audited inequalities; every check has zero violations at
+# these on the seeded reports.
+TOL_ANGLE_SUM = 1e-12          # |Σα - 2π|
+TOL_WEIGHT_SUM = 1e-9          # Σw ≥ 2π - slack on unit diameter
+TOL_GRAD_ALPHA = 1e-9          # |∇α| ≤ 1/r_i + 1/r_{i+1} (relative)
+TOL_PARTITION = 1e-12          # |Σλ - 1|
+TOL_LINEAR_PRECISION = 1e-12   # |Σλv - x| per unit diameter
+TOL_NONNEGATIVE = -1e-12       # λ ≥ this
+TOL_GRAD_SUM = 1e-9            # |Σ∇λ| and |Σv⊗∇λ - I|
+TOL_FD_MATCH = 1e-6            # analytic vs central differences
+
 
 def random_convex_polygon(rng: np.random.Generator) -> Polygon:
     """Random unit-diameter convex polygon with 5..10 vertices meeting the
@@ -85,20 +96,6 @@ def sample_interior(
     return out
 
 
-@dataclass(frozen=True)
-class AuditTolerances:
-    """Slacks for the audited inequalities; zero-violation defaults."""
-
-    angle_sum: float = 1e-12          # |Σα - 2π|
-    weight_sum_slack: float = 1e-9    # Σw ≥ 2π - slack on unit diameter
-    grad_alpha_slack: float = 1e-9    # |∇α| ≤ 1/r_i + 1/r_{i+1} (relative)
-    partition: float = 1e-12          # |Σλ - 1|
-    linear_precision: float = 1e-12   # |Σλv - x| per unit diameter
-    nonnegative: float = -1e-12       # λ ≥ this
-    grad_sum: float = 1e-9            # |Σ∇λ| and |Σv⊗∇λ - I|
-    fd_match: float = 1e-6            # analytic vs central differences
-
-
 @dataclass
 class CheckCounter:
     name: str
@@ -111,6 +108,15 @@ class CheckCounter:
         self.violations += int(bad)
         if worst > self.worst:
             self.worst = float(worst)
+
+
+class _CheckCounters(dict):
+    """Counters by check name, each created the first time its check runs,
+    so a report lists the checks in the order the audit runs them."""
+
+    def __missing__(self, name: str) -> CheckCounter:
+        counter = self[name] = CheckCounter(name)
+        return counter
 
 
 @dataclass
@@ -164,8 +170,7 @@ def audit_polygon(
     p: Polygon,
     rng: np.random.Generator,
     samples: int,
-    tol: AuditTolerances,
-    checks: dict[str, CheckCounter],
+    checks: _CheckCounters,
 ) -> None:
     """Run every audited property on one unit-diameter polygon.
 
@@ -181,7 +186,7 @@ def audit_polygon(
 
     c = checks["angle sum 2pi"]
     err = np.abs(g.alpha.sum(axis=1) - 2.0 * np.pi)
-    c.add(samples, np.count_nonzero(err > tol.angle_sum), err.max())
+    c.add(samples, np.count_nonzero(err > TOL_ANGLE_SUM), err.max())
 
     # The separation radius is computed as a supremum, so it can equal
     # d_min/2 exactly (the unit square does); the audited bound is <=.
@@ -217,7 +222,7 @@ def audit_polygon(
     bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=1)
     norm = np.hypot(g.grad_alpha[:, :, 0], g.grad_alpha[:, :, 1])
     rel = norm / bound - 1.0
-    c.add(samples * n, np.count_nonzero(rel > tol.grad_alpha_slack), rel.max())
+    c.add(samples * n, np.count_nonzero(rel > TOL_GRAD_ALPHA), rel.max())
 
     c = checks["ball below h* meets <= 2 adjacent edges"]
     h_test = gc.h_star * (1.0 - 1e-9)
@@ -234,7 +239,7 @@ def audit_polygon(
 
     c = checks["weight sum >= 2pi (unit diameter)"]
     wsum = _mvc_weights(g).sum(axis=1)
-    c.add(samples, np.count_nonzero(wsum < 2.0 * np.pi - tol.weight_sum_slack),
+    c.add(samples, np.count_nonzero(wsum < 2.0 * np.pi - TOL_WEIGHT_SUM),
           float((2.0 * np.pi - wsum).max()))
 
     # Gradient identities are evaluated on their own, less boundary-hugging
@@ -254,26 +259,26 @@ def audit_polygon(
         lam = kernel(p, g, gradients=False).values
 
         c = checks[f"nonnegative ({kind})"]
-        c.add(samples * n, np.count_nonzero(lam < tol.nonnegative), float((-lam).max()))
+        c.add(samples * n, np.count_nonzero(lam < TOL_NONNEGATIVE), float((-lam).max()))
 
         c = checks[f"partition of unity ({kind})"]
         err = np.abs(lam.sum(axis=1) - 1.0)
-        c.add(samples, np.count_nonzero(err > tol.partition), err.max())
+        c.add(samples, np.count_nonzero(err > TOL_PARTITION), err.max())
 
         c = checks[f"linear precision ({kind})"]
         err = np.abs(lam @ p.vertices - x).max(axis=1)
-        c.add(samples, np.count_nonzero(err > tol.linear_precision * p.diameter), err.max())
+        c.add(samples, np.count_nonzero(err > TOL_LINEAR_PRECISION * p.diameter), err.max())
 
         glam = kernel(p, gg, gradients=True).gradients
 
         c = checks[f"grad sum zero ({kind})"]
         err = np.abs(glam.sum(axis=1)).max(axis=1)
-        c.add(samples, np.count_nonzero(err > tol.grad_sum), err.max())
+        c.add(samples, np.count_nonzero(err > TOL_GRAD_SUM), err.max())
 
         c = checks[f"grad linear precision ({kind})"]
         jac = np.einsum("ia,mib->mab", p.vertices, glam)
         err = np.abs(jac - np.eye(2)).reshape(samples, 4).max(axis=1)
-        c.add(samples, np.count_nonzero(err > tol.grad_sum), err.max())
+        c.add(samples, np.count_nonzero(err > TOL_GRAD_SUM), err.max())
 
         c = checks[f"analytic vs FD gradient ({kind})"]
         ana = kernel(p, gf, gradients=True).gradients[k * FD_SAMPLES:(k + 1) * FD_SAMPLES]
@@ -281,47 +286,25 @@ def audit_polygon(
         num = np.hypot(*(ana - fd).transpose(2, 0, 1))
         den = np.maximum(np.hypot(*ana.transpose(2, 0, 1)), 0.01)
         rel = num / den
-        c.add(FD_SAMPLES * n, np.count_nonzero(rel > tol.fd_match), rel.max())
-
-
-AUDIT_CHECK_NAMES = [
-    "angle sum 2pi",
-    "h* at most half min vertex gap",
-    "at most one vertex within h*",
-    "at most one angle above alpha*",
-    "close vertex belongs to the wide edge",
-    "close vertex has wide adjacent angles",
-    "grad alpha bounded by 1/r_i + 1/r_{i+1}",
-    "ball below h* meets <= 2 adjacent edges",
-    "weight sum >= 2pi (unit diameter)",
-    "nonnegative (mvc)",
-    "partition of unity (mvc)",
-    "linear precision (mvc)",
-    "grad sum zero (mvc)",
-    "grad linear precision (mvc)",
-    "analytic vs FD gradient (mvc)",
-    "nonnegative (wachspress)",
-    "partition of unity (wachspress)",
-    "linear precision (wachspress)",
-    "grad sum zero (wachspress)",
-    "grad linear precision (wachspress)",
-    "analytic vs FD gradient (wachspress)",
-]
+        c.add(FD_SAMPLES * n, np.count_nonzero(rel > TOL_FD_MATCH), rel.max())
 
 
 def run_property_audit(
     n_polygons: int = 100,
     samples_per_polygon: int = 10_000,
     seed: int = 42,
-    tolerances: AuditTolerances | None = None,
 ) -> PropertyAuditReport:
-    """Audit every property over freshly generated random polygons."""
-    tol = AuditTolerances() if tolerances is None else tolerances
+    """Audit every property over freshly generated random polygons.
+
+    Both counts must be at least 1; smaller counts raise ValueError.
+    """
+    if n_polygons < 1 or samples_per_polygon < 1:
+        raise ValueError("polygon and sample counts must be at least 1")
     rng = np.random.default_rng(seed)
-    checks = {name: CheckCounter(name) for name in AUDIT_CHECK_NAMES}
+    checks = _CheckCounters()
     for _ in range(n_polygons):
         p = random_convex_polygon(rng)
-        audit_polygon(p, rng, samples_per_polygon, tol, checks)
+        audit_polygon(p, rng, samples_per_polygon, checks)
     return PropertyAuditReport(
         seed=seed,
         n_polygons=n_polygons,

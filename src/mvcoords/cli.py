@@ -182,8 +182,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_properties(args: argparse.Namespace) -> int:
     """Randomized invariant audit; exit code 0 only with zero violations."""
-    if args.polygons < 1 or args.samples < 1:
-        raise ValueError("--polygons and --samples must be at least 1")
     if args.seed < 0:
         raise ValueError("--seed must be non-negative")
     report = run_property_audit(args.polygons, args.samples, args.seed)

@@ -212,18 +212,16 @@ def wachspress_gradients(p: Polygon, points) -> BasisEval:
     return coordinate_gradients(p, points, "wachspress")
 
 
-def fd_gradient(p: Polygon, points, kind: str = "mvc", step: float | None = None) -> np.ndarray:
-    """Central finite-difference gradients of the coordinate values.
+def fd_gradient(p: Polygon, points, kind: str = "mvc") -> np.ndarray:
+    """Central finite-difference gradients of the coordinate values, with
+    step 1e-6 times the diameter.
 
-    ``step`` defaults to 1e-6 times the diameter. Every stencil point must
-    stay strictly interior, so points closer to the boundary than
-    step + interior tolerance raise StepTooLarge.
+    Every stencil point must stay strictly interior, so points closer to
+    the boundary than step + interior tolerance raise StepTooLarge.
     """
     kernel = _kernel(p, kind)
     X, single = _as_points(points)
-    h = 1e-6 * p.diameter if step is None else float(step)
-    if h <= 0.0:
-        raise StepTooLarge("step must be positive")
+    h = 1e-6 * p.diameter
     outside, band, _ = _classify(p, X, inset=h)
     _reject_outside(outside)
     if band.any():
@@ -272,8 +270,7 @@ def _scan_grid(p: Polygon, resolution: int, margin: float) -> np.ndarray:
     x0, y0, x1, y1 = p.bbox
     pad = 1.0 - 1e-9  # keep shell points on the admissible side of the cut
     thr = margin / pad
-    normal = _rot_ccw(p.edge_vectors) / p.edge_lengths[:, None]
-    offset = np.sum(normal * p.vertices, axis=1)
+    normal, offset = p.edge_lines
     parts = []
     for axis, fixed in ((0, np.linspace(x0 + margin, x1 - margin, resolution)),
                         (1, np.linspace(y0 + margin, y1 - margin, resolution))):

@@ -35,8 +35,9 @@ class CollinearVertices(EvaluationError):
 
 
 class StepTooLarge(EvaluationError):
-    """Finite difference step is zero, negative, or exceeds the interior
-    margin of the evaluation point."""
+    """A finite difference stencil leaves the interior of the polygon: the
+    evaluation point is closer to the boundary than the step plus the
+    interior tolerance."""
 
 
 class UnsupportedDegree(ValueError):

@@ -63,22 +63,21 @@ class Polygon:
             )
 
         area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-        if area2 < 0.0:
-            warnings.warn("clockwise vertex loop reversed", WrongOrientation, stacklevel=2)
-            v = v[::-1].copy()
-            edges = np.roll(v, -1, axis=0) - v
-            lengths = np.hypot(edges[:, 0], edges[:, 1])
-            area2 = -area2
-        if area2 <= EPS_GEOM * scale * scale:
+        if abs(area2) <= EPS_GEOM * scale * scale:
             raise NonConvex("polygon has (numerically) zero area")
 
         # Convexity test on the sine of each turn angle, so the tolerance is
-        # dimensionless. Zero turns (interior angle pi) are allowed.
+        # dimensionless. Zero turns (interior angle pi) are allowed. Signed by
+        # the orientation, the sines of the loop as given equal those of the
+        # reversed loop bit for bit, and a reflex vertex keeps its input index.
         cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
-        sine = cross / (lengths * np.roll(lengths, -1))
+        sine = np.copysign(1.0, area2) * cross / (lengths * np.roll(lengths, -1))
         if np.min(sine) < -EPS_GEOM:
             raise NonConvex(f"reflex turn at vertex {int((np.argmin(sine) + 1) % len(v))}")
 
+        if area2 < 0.0:
+            warnings.warn("clockwise vertex loop reversed", WrongOrientation, stacklevel=2)
+            v = v[::-1].copy()
         v.setflags(write=False)
         self._vertices = v
 
@@ -99,6 +98,13 @@ class Polygon:
     def edge_lengths(self) -> np.ndarray:
         e = self.edge_vectors
         return np.hypot(e[:, 0], e[:, 1])
+
+    @cached_property
+    def edge_lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inward unit edge normals n_k, shape (n, 2), and offsets
+        n_k . v_k, shape (n,): the polygon is {x : n_k . x >= offset_k}."""
+        normal = _rot_ccw(self.edge_vectors) / self.edge_lengths[:, None]
+        return normal, np.sum(normal * self._vertices, axis=1)
 
     @cached_property
     def diameter(self) -> float:
@@ -202,12 +208,10 @@ def save_polygon(p: Polygon, path) -> None:
 
 
 def _chebyshev_radius(p: Polygon) -> float:
-    v = p.vertices
-    e = p.edge_vectors / p.edge_lengths[:, None]
-    inward = np.stack([-e[:, 1], e[:, 0]], axis=1)
+    inward, offset = p.edge_lines
     # maximize r  s.t.  inward_k . (c - v_k) >= r   (variables c_x, c_y, r)
     a_ub = np.column_stack([-inward, np.ones(p.n)])
-    b_ub = -np.sum(inward * v, axis=1)
+    b_ub = -offset
     x0, y0, x1, y1 = p.bbox
     res = linprog(
         c=[0.0, 0.0, -1.0],

@@ -19,32 +19,6 @@ from .geometry import Polygon
 
 # Symmetric Gauss rules on the triangle (Dunavant). Barycentric abscissae
 # with weights normalized to sum to one; multiply by triangle area on use.
-_RULE_2 = (
-    np.array([
-        [2/3, 1/6, 1/6],
-        [1/6, 2/3, 1/6],
-        [1/6, 1/6, 2/3],
-    ]),
-    np.array([1/3, 1/3, 1/3]),
-)
-
-_B5A = (6.0 - np.sqrt(15.0)) / 21.0
-_B5B = (6.0 + np.sqrt(15.0)) / 21.0
-_W5A = (155.0 - np.sqrt(15.0)) / 1200.0
-_W5B = (155.0 + np.sqrt(15.0)) / 1200.0
-_RULE_5 = (
-    np.array([
-        [1/3, 1/3, 1/3],
-        [1 - 2*_B5A, _B5A, _B5A],
-        [_B5A, 1 - 2*_B5A, _B5A],
-        [_B5A, _B5A, 1 - 2*_B5A],
-        [1 - 2*_B5B, _B5B, _B5B],
-        [_B5B, 1 - 2*_B5B, _B5B],
-        [_B5B, _B5B, 1 - 2*_B5B],
-    ]),
-    np.array([9/40, _W5A, _W5A, _W5A, _W5B, _W5B, _W5B]),
-)
-
 _RULE_8 = (
     np.array([
         [0.333333333333333, 0.333333333333333, 0.333333333333333],
@@ -115,7 +89,7 @@ _RULE_10 = (
     ]),
 )
 
-_TRIANGLE_RULES = {2: _RULE_2, 5: _RULE_5, 8: _RULE_8, 10: _RULE_10}
+_TRIANGLE_RULES = {8: _RULE_8, 10: _RULE_10}
 
 SUPPORTED_DEGREES = tuple(sorted(_TRIANGLE_RULES))
 MAX_SUBDIVISION = 3

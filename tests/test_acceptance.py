@@ -109,7 +109,7 @@ def test_criterion_4_gradient_correctness(verdict):
         for kind, grad_fn in (("mvc", mvc_gradients),
                               ("wachspress", wachspress_gradients)):
             ana = grad_fn(p, pts).gradients
-            fd = fd_gradient(p, pts, kind=kind, step=1e-6 * p.diameter)
+            fd = fd_gradient(p, pts, kind=kind)
             num = np.hypot(*(ana - fd).transpose(2, 0, 1))
             den = np.maximum(np.hypot(*ana.transpose(2, 0, 1)), 0.01)
             worst = max(worst, float((num / den).max()))

@@ -5,8 +5,6 @@ import pytest
 
 from mvcoords import audit, coords
 from mvcoords.audit import (
-    AUDIT_CHECK_NAMES,
-    AuditTolerances,
     _far_close_vertices,
     random_convex_polygon,
     run_property_audit,
@@ -14,6 +12,31 @@ from mvcoords.audit import (
 )
 from mvcoords.errors import EvaluationError
 from mvcoords.geometry import Polygon, min_vertex_distance, point_geometry_batch
+
+# the report lists the checks in the order the audit runs them
+CHECK_NAMES = [
+    "angle sum 2pi",
+    "h* at most half min vertex gap",
+    "at most one vertex within h*",
+    "at most one angle above alpha*",
+    "close vertex belongs to the wide edge",
+    "close vertex has wide adjacent angles",
+    "grad alpha bounded by 1/r_i + 1/r_{i+1}",
+    "ball below h* meets <= 2 adjacent edges",
+    "weight sum >= 2pi (unit diameter)",
+    "nonnegative (mvc)",
+    "partition of unity (mvc)",
+    "linear precision (mvc)",
+    "grad sum zero (mvc)",
+    "grad linear precision (mvc)",
+    "analytic vs FD gradient (mvc)",
+    "nonnegative (wachspress)",
+    "partition of unity (wachspress)",
+    "linear precision (wachspress)",
+    "grad sum zero (wachspress)",
+    "grad linear precision (wachspress)",
+    "analytic vs FD gradient (wachspress)",
+]
 
 
 def test_random_polygons_meet_quality_bounds():
@@ -40,7 +63,7 @@ def test_sample_interior_respects_margin():
 def test_small_audit_run_is_clean():
     report = run_property_audit(5, 300, seed=3)
     assert report.total_violations == 0
-    assert [c.name for c in report.checks] == AUDIT_CHECK_NAMES
+    assert [c.name for c in report.checks] == CHECK_NAMES
     by_name = {c.name: c for c in report.checks}
     # per-sample checks saw every sample, per-polygon checks one per polygon
     assert by_name["angle sum 2pi"].checked == 5 * 300
@@ -59,12 +82,19 @@ def test_different_seeds_differ():
     assert a.to_text() != b.to_text()
 
 
-def test_tampered_tolerance_reports_violations():
+def test_tampered_tolerance_reports_violations(monkeypatch):
     """Negative control: an absurd finite-difference tolerance must produce
     violations, proving the audit can actually fail."""
-    tight = AuditTolerances(fd_match=1e-16)
-    report = run_property_audit(2, 200, seed=3, tolerances=tight)
+    monkeypatch.setattr(audit, "TOL_FD_MATCH", 1e-16)
+    report = run_property_audit(2, 200, seed=3)
     assert report.total_violations > 0
+
+
+@pytest.mark.parametrize("counts", [(0, 10), (1, 0), (-1, 10)])
+def test_audit_needs_a_polygon_and_a_sample(counts):
+    """A report with no polygons or no samples has no rows to print."""
+    with pytest.raises(ValueError, match="at least 1"):
+        run_property_audit(*counts)
 
 
 def test_report_text_layout():

@@ -1,12 +1,15 @@
 """Command line interface: flags, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvcoords
 from mvcoords.cli import main
 from mvcoords.coords import (
     mvc_gradients,
@@ -372,10 +375,13 @@ def test_properties_validates_counts(capsys):
 # -------------------------------------------------------------- installed CLI
 
 def test_console_script_runs(polys):
+    # the child imports the same package as this suite, installed or not
+    src = str(Path(mvcoords.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "mvcoords.cli", "eval",
          "--polygon", polys["square"], "--point", "0.5,0.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert ",ok,0.25," in result.stdout

@@ -35,6 +35,7 @@ OCT8 = Polygon(
         (1.0, 1.0), (0.5, 1.0), (0.0, 1.0), (0.0, 0.5),
     ]
 )
+EPS = np.finfo(float).eps
 
 
 def areal(x):
@@ -221,16 +222,107 @@ def test_gradient_identities_near_edges(seed, edge, along, standoff):
     eps_interior inside an edge of a random unit-diameter polygon, to
     roundoff amplified by no more than diameter / distance."""
     p = random_convex_polygon(np.random.default_rng(seed))
-    k = edge % p.n
     d = standoff * p.eps_interior
-    inward = _rot_ccw(p.edge_vectors[k]) / p.edge_lengths[k]
-    x = p.vertices[k] + along * p.edge_vectors[k] + d * inward
+    x = _next_to_edge(p, edge, along, d)
     g = mvc_gradients(p, x).gradients
     assert np.all(np.isfinite(g))
-    tol = 16.0 * np.finfo(float).eps / d
+    tol = 16.0 * EPS / d
     assert np.abs(g.sum(axis=0)).max() <= tol
     jac = p.vertices.T @ g
     assert np.abs(jac - np.eye(2)).max() <= tol * p.diameter
+
+
+def _next_to_edge(p, edge, along, d):
+    """The point ``d`` inside edge ``edge % n``, at ``along`` of its length."""
+    k = edge % p.n
+    return p.vertices[k] + along * p.edge_vectors[k] + d * p.edge_lines[0][k]
+
+
+def _check_mvc_next_to_edge(p, x):
+    """Partition of unity, linear precision, the gradient identities and
+    agreement with ``fd_gradient`` at one interior point x, at tolerances
+    taken from the rounding error terms and the distance d to the boundary.
+
+    - Values: the n weights are positive and cancellation-free, so the
+      normalization leaves |sum(lambda) - 1| within 2n + 1 roundings, and
+      each coordinate carries O(n eps) absolute error however close x is to
+      the boundary; the linear-precision sum adds n products of vertices of
+      size up to diam + max|v|.
+    - Gradients: the quotient rule runs through terms of size 1/d, so the
+      identities hold to 16 eps / d (per unit diameter for the Jacobian),
+      as next to the edges of the random polygons.
+    - FD: a central difference of step h is exactly the mean of the
+      partial derivative over its stencil segment, so it is within the
+      derivative's variation between x and the stencil ends (when the step
+      resolves the coordinates), plus value roundoff n eps / h and the
+      analytic gradient's own 16 eps / d.
+    """
+    n, diam = p.n, p.diameter
+    d = float(p.signed_boundary_distance(x)[0])
+    lam = mvc_values(p, x)
+    assert abs(lam.sum() - 1.0) <= (n + 0.5) * EPS
+    size = diam + np.abs(p.vertices).max()
+    assert np.abs(lam @ p.vertices - x).max() <= n * EPS * size
+
+    g = mvc_gradients(p, x).gradients
+    assert np.all(np.isfinite(g))
+    assert np.abs(g.sum(axis=0)).max() <= 16.0 * EPS / d
+    assert np.abs(p.vertices.T @ g - np.eye(2)).max() <= 16.0 * EPS * diam / d
+
+    h = 1e-6 * diam  # the fd_gradient step
+    if d <= h + p.eps_interior:
+        return
+    fd = fd_gradient(p, x)
+    for axis in range(2):
+        shift = np.eye(2)[axis] * h
+        ends = mvc_gradients(p, np.stack([x - shift, x + shift])).gradients[:, :, axis]
+        variation = np.abs(ends - g[:, axis]).max(axis=0)
+        tol = variation + n * EPS / h + 16.0 * EPS / d
+        assert np.all(np.abs(fd[:, axis] - g[:, axis]) <= tol)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vertex=st.integers(0, 9),
+    chord_at=st.floats(0.2, 0.8),
+    flatness=st.floats(1.0, 12.0),
+    edge=st.integers(-1, 1),
+    along=st.floats(0.05, 0.95),
+    standoff=st.floats(0.2, 8.0),
+)
+def test_mvc_next_to_a_near_flat_vertex(seed, vertex, chord_at, flatness, edge, along, standoff):
+    """A vertex of a random polygon is pulled to 10**-flatness of its height
+    above its neighbours' chord, toward a point of that chord (the loop
+    stays convex), and x sits 10**standoff * eps_interior inside one of
+    the edges at or after it."""
+    p = random_convex_polygon(np.random.default_rng(seed))
+    k = vertex % p.n
+    v = p.vertices.copy()
+    c = v[k - 1] + chord_at * (v[(k + 1) % p.n] - v[k - 1])
+    v[k] = c + 10.0 ** -flatness * (v[k] - c)
+    q = Polygon(v)
+    _check_mvc_next_to_edge(q, _next_to_edge(q, k + edge, along, 10.0**standoff * q.eps_interior))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vertex=st.integers(0, 9),
+    gap=st.floats(2.0, 10.0),
+    edge=st.integers(-1, 1),
+    along=st.floats(0.05, 0.95),
+    standoff=st.floats(0.2, 8.0),
+)
+def test_mvc_next_to_nearly_coincident_vertices(seed, vertex, gap, edge, along, standoff):
+    """A corner of a random polygon is cut 10**-gap * diam from its vertex,
+    leaving two vertices that close together (the loop stays convex), and
+    x sits 10**standoff * eps_interior inside the cut or an edge beside it."""
+    p = random_convex_polygon(np.random.default_rng(seed))
+    k = vertex % p.n
+    eta = 10.0 ** -gap * p.diameter
+    unit = p.edge_vectors / p.edge_lengths[:, None]
+    v = p.vertices
+    q = Polygon(np.concatenate([v[:k], [v[k] - eta * unit[k - 1], v[k] + eta * unit[k]], v[k + 1:]]))
+    _check_mvc_next_to_edge(q, _next_to_edge(q, k + edge, along, 10.0**standoff * q.eps_interior))
 
 
 def test_gradients_match_fd(polygon_suite, rng):
@@ -281,16 +373,15 @@ def test_wachspress_area_scaling_is_exact(polygon_suite, rng):
 
 def test_fd_step_validation():
     with pytest.raises(StepTooLarge):
-        fd_gradient(SQUARE, (0.5, 0.5), step=0.0)
-    with pytest.raises(StepTooLarge):
-        # stencil would cross the boundary
-        fd_gradient(SQUARE, (0.5, 0.01), step=0.05)
+        # inside the boundary band of 1e-9, but the 1e-6 stencil would cross
+        # the boundary
+        fd_gradient(SQUARE, (0.5, 5e-7))
     with pytest.raises(OutsidePolygon):
         fd_gradient(SQUARE, (3.0, 0.5))
 
 
 def test_fd_on_triangle_matches_areal():
-    fd = fd_gradient(TRI, (0.3, 0.3), kind="wachspress", step=1e-6)
+    fd = fd_gradient(TRI, (0.3, 0.3), kind="wachspress")
     assert_allclose(fd, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-9)
 
 

@@ -56,6 +56,16 @@ def test_reflex_vertex_rejected():
         Polygon([(0.0, 0.0), (1.0, 0.0), (0.5, -0.5), (1.0, 1.0)])
 
 
+def test_reflex_vertex_named_by_input_index():
+    """The reflex vertex is named by its index in the loop as given, in
+    either orientation."""
+    ccw = [(0.0, 0.0), (2.0, 0.0), (3.0, 1.0), (1.5, 1.2), (3.0, 2.0), (0.0, 2.0)]
+    with pytest.raises(NonConvex, match=r"vertex 3$"):
+        Polygon(ccw)
+    with pytest.raises(NonConvex, match=r"vertex 2$"):
+        Polygon(ccw[::-1])
+
+
 def test_repeated_vertex_rejected():
     with pytest.raises(DegenerateEdge):
         Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
