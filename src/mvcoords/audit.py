@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .coords import _kernel, _mvc_weights, fd_gradient
+from .coords import _kernel, _mvc_weights, _require_finite, fd_gradient
 from .errors import PolygonError
 from .geometry import (
     GeometricConstants,
@@ -82,8 +82,14 @@ def sample_interior(
     margin: float | None = None,
 ) -> np.ndarray:
     """Uniform interior samples at least ``margin`` from the boundary
-    (default: the strict-interior tolerance), by bbox rejection."""
+    (default: the strict-interior tolerance), by bbox rejection.
+
+    No point lies farther inside than the inradius, so a margin at or
+    above it raises ValueError.
+    """
     margin = p.eps_interior if margin is None else float(margin)
+    if margin >= p.inradius:
+        raise ValueError(f"margin {margin:g} is not below the inradius {p.inradius:g}")
     x0, y0, x1, y1 = p.bbox
     out = np.empty((count, 2))
     have = 0
@@ -147,23 +153,16 @@ class PropertyAuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _adjacent(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    d = (i - j) % n
-    return (d == 1) | (d == n - 1) | (d == 0)
-
-
 def _far_close_vertices(small_r: np.ndarray, big_a: np.ndarray) -> tuple[int, int]:
     """Count (wide angles, those with a close vertex off the wide edge).
 
-    ``small_r`` and ``big_a`` are (m, n) masks of vertices within h* and
-    angles above alpha*; angle i spans the edge from vertex i to i + 1.
+    ``small_r`` and ``big_a`` are (n, m) vertex-major masks of vertices
+    within h* and angles above alpha*; angle i spans the edge from vertex i
+    to i + 1.
     """
-    rows, ii = np.nonzero(big_a)
-    k = np.arange(len(rows))
-    far = small_r[rows]
-    far[k, ii] = False
-    far[k, (ii + 1) % small_r.shape[1]] = False
-    return len(rows), int(np.count_nonzero(far.any(axis=1)))
+    # per angle i, the close vertices other than i and i + 1
+    off_edge = small_r.sum(axis=0) - small_r - np.roll(small_r, -1, axis=0)
+    return int(np.count_nonzero(big_a)), int(np.count_nonzero(big_a & (off_edge > 0)))
 
 
 def audit_polygon(
@@ -175,9 +174,9 @@ def audit_polygon(
     """Run every audited property on one unit-diameter polygon.
 
     Each sample set gets one point geometry, which the geometric checks
-    and both coordinate kinds read. The sets keep a margin above the
-    interior tolerance, so they go to the interior kernels unclassified;
-    the kernels still reject non-finite output.
+    and both coordinate kinds read as (n, m) vertex-major planes. The sets
+    keep a margin above the interior tolerance, so they go to the interior
+    kernels unclassified; non-finite kernel output stops the audit.
     """
     gc: GeometricConstants = geometric_constants(p)
     n = p.n
@@ -185,7 +184,7 @@ def audit_polygon(
     g = point_geometry_batch(p, x)
 
     c = checks["angle sum 2pi"]
-    err = np.abs(g.alpha.sum(axis=1) - 2.0 * np.pi)
+    err = np.abs(g.alpha.sum(axis=0) - 2.0 * np.pi)
     c.add(samples, np.count_nonzero(err > TOL_ANGLE_SUM), err.max())
 
     # The separation radius is computed as a supremum, so it can equal
@@ -198,11 +197,11 @@ def audit_polygon(
     big_a = g.alpha > gc.alpha_star
 
     c = checks["at most one vertex within h*"]
-    cnt = small_r.sum(axis=1)
+    cnt = small_r.sum(axis=0)
     c.add(samples, np.count_nonzero(cnt > 1), float(cnt.max()))
 
     c = checks["at most one angle above alpha*"]
-    cnt = big_a.sum(axis=1)
+    cnt = big_a.sum(axis=0)
     c.add(samples, np.count_nonzero(cnt > 1), float(cnt.max()))
 
     c = checks["close vertex belongs to the wide edge"]
@@ -210,35 +209,28 @@ def audit_polygon(
     c.add(wide if wide else samples, bad, float(bad))
 
     c = checks["close vertex has wide adjacent angles"]
-    rows, ii = np.nonzero(small_r)
-    if len(rows):
-        spread = g.alpha[rows, (ii - 1) % n] + g.alpha[rows, ii]
+    spread = (np.roll(g.alpha, 1, axis=0) + g.alpha)[small_r]
+    if spread.size:
         viol = spread <= 2.0 * np.pi / 3.0
-        c.add(len(rows), int(np.count_nonzero(viol)), float((2.0 * np.pi / 3.0 - spread).max()))
+        c.add(spread.size, int(np.count_nonzero(viol)), float((2.0 * np.pi / 3.0 - spread).max()))
     else:
         c.add(samples, 0, 0.0)
 
     c = checks["grad alpha bounded by 1/r_i + 1/r_{i+1}"]
-    bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=1)
-    norm = np.hypot(g.grad_alpha[:, :, 0], g.grad_alpha[:, :, 1])
-    rel = norm / bound - 1.0
+    bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=0)
+    rel = np.hypot(g.grad_alpha[0], g.grad_alpha[1]) / bound - 1.0
     c.add(samples * n, np.count_nonzero(rel > TOL_GRAD_ALPHA), rel.max())
 
     c = checks["ball below h* meets <= 2 adjacent edges"]
-    h_test = gc.h_star * (1.0 - 1e-9)
-    dist = p.edge_distances(x)
-    hit = dist <= h_test
-    cnt = hit.sum(axis=1)
-    bad = np.count_nonzero(cnt > 2)
-    two = np.nonzero(cnt == 2)[0]
-    if len(two):
-        first = np.argmax(hit[two], axis=1)
-        last = n - 1 - np.argmax(hit[two][:, ::-1], axis=1)
-        bad += int(np.count_nonzero(~_adjacent(first, last, n)))
+    hit = p.edge_distances(x) <= gc.h_star * (1.0 - 1e-9)
+    cnt = hit.sum(axis=0)
+    # two edges hit are adjacent when they are consecutive in the loop
+    adjacent = (hit & np.roll(hit, -1, axis=0)).any(axis=0)
+    bad = np.count_nonzero((cnt > 2) | ((cnt == 2) & ~adjacent))
     c.add(samples, bad, float(cnt.max()))
 
     c = checks["weight sum >= 2pi (unit diameter)"]
-    wsum = _mvc_weights(g).sum(axis=1)
+    wsum = _mvc_weights(g).sum(axis=0)
     c.add(samples, np.count_nonzero(wsum < 2.0 * np.pi - TOL_WEIGHT_SUM),
           float((2.0 * np.pi - wsum).max()))
 
@@ -253,39 +245,43 @@ def audit_polygon(
     # have always used; a single geometry serves both sets
     xf = [sample_interior(p, rng, FD_SAMPLES, margin=0.01 * p.diameter) for _ in KINDS]
     gf = point_geometry_batch(p, np.concatenate(xf))
+    vt = p.vertices.T  # vt @ lam is sum_i v_i lambda_i, one row per coordinate
 
     for k, kind in enumerate(KINDS):
         kernel = _kernel(p, kind)
-        lam = kernel(p, g, gradients=False).values
+        lam, _ = kernel(p, g, gradients=False)
+        _require_finite(kind, lam)
 
         c = checks[f"nonnegative ({kind})"]
         c.add(samples * n, np.count_nonzero(lam < TOL_NONNEGATIVE), float((-lam).max()))
 
         c = checks[f"partition of unity ({kind})"]
-        err = np.abs(lam.sum(axis=1) - 1.0)
+        err = np.abs(lam.sum(axis=0) - 1.0)
         c.add(samples, np.count_nonzero(err > TOL_PARTITION), err.max())
 
         c = checks[f"linear precision ({kind})"]
-        err = np.abs(lam @ p.vertices - x).max(axis=1)
+        err = np.abs(vt @ lam - x.T).max(axis=0)
         c.add(samples, np.count_nonzero(err > TOL_LINEAR_PRECISION * p.diameter), err.max())
 
-        glam = kernel(p, gg, gradients=True).gradients
+        lam_g, glam = kernel(p, gg, gradients=True)
+        _require_finite(kind, lam_g, glam)
 
         c = checks[f"grad sum zero ({kind})"]
-        err = np.abs(glam.sum(axis=1)).max(axis=1)
+        err = np.abs(glam.sum(axis=1)).max(axis=0)
         c.add(samples, np.count_nonzero(err > TOL_GRAD_SUM), err.max())
 
         c = checks[f"grad linear precision ({kind})"]
-        jac = np.einsum("ia,mib->mab", p.vertices, glam)
-        err = np.abs(jac - np.eye(2)).reshape(samples, 4).max(axis=1)
+        # jac[b, a] = sum_i v_i,a d(lambda_i)/dx_b, the identity exactly
+        jac = vt @ glam
+        err = np.abs(jac - np.eye(2)[:, :, None]).max(axis=(0, 1))
         c.add(samples, np.count_nonzero(err > TOL_GRAD_SUM), err.max())
 
         c = checks[f"analytic vs FD gradient ({kind})"]
-        ana = kernel(p, gf, gradients=True).gradients[k * FD_SAMPLES:(k + 1) * FD_SAMPLES]
-        fd = fd_gradient(p, xf[k], kind=kind)
-        num = np.hypot(*(ana - fd).transpose(2, 0, 1))
-        den = np.maximum(np.hypot(*ana.transpose(2, 0, 1)), 0.01)
-        rel = num / den
+        lam_f, glam_f = kernel(p, gf, gradients=True)
+        _require_finite(kind, lam_f, glam_f)
+        ana = glam_f[:, :, k * FD_SAMPLES:(k + 1) * FD_SAMPLES]
+        fd = fd_gradient(p, xf[k], kind=kind).transpose(2, 1, 0)
+        rel = np.hypot(*(ana - fd)) / np.maximum(np.hypot(*ana), 0.01)
         c.add(FD_SAMPLES * n, np.count_nonzero(rel > TOL_FD_MATCH), rel.max())
 
 

@@ -19,7 +19,14 @@ import sys
 import numpy as np
 
 from .audit import run_property_audit
-from .coords import _classify, coordinate_gradients, coordinate_values, sup_gradient_scan
+from .coords import (
+    _classify,
+    _kernel,
+    _nonfinite_points,
+    coordinate_gradients,
+    coordinate_values,
+    sup_gradient_scan,
+)
 from .errors import NoConvergence
 from .fem import convergence_study
 from .geometry import (
@@ -27,6 +34,7 @@ from .geometry import (
     geometric_constants,
     load_polygon,
     normalize_to_unit_diameter,
+    point_geometry_batch,
 )
 
 
@@ -50,9 +58,9 @@ def _bbox_lattice(p, n: int) -> np.ndarray:
 def cmd_eval(args: argparse.Namespace) -> int:
     """Per-point CSV dump of coordinates and their gradients.
 
-    Points that fail (outside the polygon, or too close to the boundary
-    for a gradient) keep their row with the failure named in the status
-    column; the run continues.
+    Points that fail (outside the polygon, too close to the boundary for a
+    gradient, or with non-finite interior values or gradients) keep their
+    row with the failure named in the status column; the run continues.
     """
     fixed = []
     for text in args.point:
@@ -75,9 +83,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     lam = np.empty((len(pts), n))
     grad = np.empty((len(pts), n, 2))
     lam[band] = coordinate_values(p, pts[band], args.kind)
-    basis = coordinate_gradients(p, pts[interior], args.kind)
-    lam[interior] = basis.values
-    grad[interior] = basis.gradients
+    kernel = _kernel(p, args.kind)
+    values, gradients = kernel(p, point_geometry_batch(p, pts[interior]), gradients=True)
+    lam[interior] = values.T
+    grad[interior] = gradients.transpose(2, 1, 0)
+    failed = np.zeros(len(pts), dtype=bool)
+    failed[interior] = _nonfinite_points(values) | _nonfinite_points(gradients)
 
     header = ["x", "y", "status"]
     for i in range(n):
@@ -88,6 +99,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         status = "ok"
         if outside[k]:
             status = "OutsidePolygon"
+        elif failed[k]:
+            status = "EvaluationError"
         else:
             cells[0::3] = [f"{v:.6g}" for v in lam[k]]
             if band[k]:

@@ -63,74 +63,85 @@ def _reject_outside(outside: np.ndarray) -> None:
 
 
 def _edge_limit_values(p: Polygon, X: np.ndarray) -> np.ndarray:
-    """Boundary values: linear along the nearest edge, delta at vertices."""
+    """Boundary values as an (n, m) plane: linear along the nearest edge,
+    delta at vertices."""
     m = X.shape[0]
-    lam = np.zeros((m, p.n))
+    lam = np.zeros((p.n, m))
     if m == 0:
         return lam
-    k = np.argmin(p.edge_distances(X), axis=1)
+    k = np.argmin(p.edge_distances(X), axis=0)
     v = p.vertices[k]
     e = p.edge_vectors[k]
     s = np.clip(np.sum((X - v) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
-    rows = np.arange(m)
-    lam[rows, k] = 1.0 - s
-    lam[rows, (k + 1) % p.n] += s
+    cols = np.arange(m)
+    lam[k, cols] = 1.0 - s
+    lam[(k + 1) % p.n, cols] += s
     return lam
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise EvaluationError(f"non-finite {what}; point too close to the boundary?")
+def _nonfinite_points(planes: np.ndarray) -> np.ndarray:
+    """(m,) mask of the points, along the last axis, at which any plane
+    holds a non-finite entry."""
+    return ~np.isfinite(planes).all(axis=tuple(range(planes.ndim - 1)))
 
 
-def _normalized(w: np.ndarray, gw: np.ndarray | None, kind: str) -> BasisEval:
-    """Coordinates w / sum(w) from weights (m, n) and, when given, their
-    gradients from weight gradients (m, n, 2) by the quotient rule; both
-    must come out finite."""
-    total = np.sum(w, axis=1, keepdims=True)
+def _require_finite(kind: str, lam: np.ndarray, glam: np.ndarray | None = None) -> None:
+    """Raise EvaluationError naming the first point whose coordinate
+    values (n, m) or gradients (2, n, m) are not finite."""
+    for what, planes in (("values", lam), ("gradients", glam)):
+        if planes is None:
+            continue
+        bad = _nonfinite_points(planes)
+        if bad.any():
+            raise EvaluationError(
+                f"non-finite {kind} {what} at point index {int(np.argmax(bad))}; "
+                "point too close to the boundary?"
+            )
+
+
+def _normalized(w: np.ndarray, gw: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Coordinates w / sum(w) from weight planes (n, m) and, when given,
+    their gradients from weight gradient planes (2, n, m) by the quotient
+    rule."""
+    total = w.sum(axis=0)
     lam = w / total
-    _require_finite(lam, f"{kind} values")
     if gw is None:
-        return BasisEval(values=lam)
-    gtotal = np.sum(gw, axis=1, keepdims=True)
-    glam = (gw - lam[:, :, None] * gtotal) / total[:, :, None]
-    _require_finite(glam, f"{kind} gradients")
-    return BasisEval(values=lam, gradients=glam)
+        return lam, None
+    gtotal = gw.sum(axis=1, keepdims=True)
+    return lam, (gw - lam * gtotal) / total
 
 
 def _mvc_weights(g: PointGeometryArrays) -> np.ndarray:
-    """Mean value weights (t_{i-1} + t_i) / r_i, shape (m, n)."""
-    return (np.roll(g.t, 1, axis=1) + g.t) / g.r
+    """Mean value weights (t_{i-1} + t_i) / r_i, shape (n, m)."""
+    return (np.roll(g.t, 1, axis=0) + g.t) / g.r
 
 
-def _mvc_interior(p: Polygon, g: PointGeometryArrays, gradients: bool) -> BasisEval:
+def _mvc_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
     w = _mvc_weights(g)
     gw = None
     if gradients:
-        gt_prev = np.roll(g.grad_t, 1, axis=1)
-        gw = (gt_prev + g.grad_t) / g.r[:, :, None] - (w / g.r)[:, :, None] * g.grad_r
-    return _normalized(w, gw, "mvc")
+        gw = (np.roll(g.grad_t, 1, axis=1) + g.grad_t) / g.r - (w / g.r) * g.grad_r
+    return _normalized(w, gw)
 
 
-def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool) -> BasisEval:
+def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
     # areas in units of about diameter², so area_prev * area neither
     # underflows nor overflows at any scale; a power of two scales exactly,
     # and the coordinates and their gradients do not depend on it
     s = np.ldexp(1.0, -2 * np.frexp(p.diameter)[1])
     area = 0.5 * s * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
-    area_prev = np.roll(area, 1, axis=1)
+    area_prev = np.roll(area, 1, axis=0)
     e = p.edge_vectors
     e_prev = np.roll(e, 1, axis=0)
     corner = 0.5 * s * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0])
-    w = corner[None, :] / (area_prev * area)
+    w = corner[:, None] / (area_prev * area)
     gw = None
     if gradients:
-        # grad A_i is constant: half the CCW normal of edge i
-        ga = 0.5 * s * _rot_ccw(e)
-        ga_prev = np.roll(ga, 1, axis=0)
-        ratio = ga[None, :, :] / area[:, :, None] + ga_prev[None, :, :] / area_prev[:, :, None]
-        gw = -w[:, :, None] * ratio
-    return _normalized(w, gw, "wachspress")
+        # grad A_i is constant: half the CCW normal of edge i, as (2, n, 1)
+        ga = (0.5 * s * _rot_ccw(e)).T[:, :, None]
+        ratio = ga / area + np.roll(ga, 1, axis=1) / area_prev
+        gw = -w * ratio
+    return _normalized(w, gw)
 
 
 def _require_strictly_convex(p: Polygon) -> None:
@@ -144,9 +155,12 @@ def _require_strictly_convex(p: Polygon) -> None:
 
 def _kernel(p: Polygon, kind: str):
     """Interior evaluator ``kernel(p, g, gradients)`` of a coordinate kind
-    on a :func:`point_geometry_batch` object ``g``; it raises
-    EvaluationError on non-finite output. Wachspress coordinates need
-    every interior angle below pi."""
+    on a :func:`point_geometry_batch` object ``g``. It returns the values
+    as an (n, m) plane and, when asked, the gradients as (2, n, m) x and y
+    planes, else None. The output is not checked: a point too close to the
+    boundary can come out non-finite, which callers reject with
+    :func:`_require_finite`. Wachspress coordinates need every interior
+    angle below pi."""
     if kind == "mvc":
         return _mvc_interior
     if kind == "wachspress":
@@ -162,11 +176,11 @@ def coordinate_values(p: Polygon, points, kind: str) -> np.ndarray:
     X, single = _as_points(points)
     outside, band, interior = _classify(p, X)
     _reject_outside(outside)
-    lam = np.empty((X.shape[0], p.n))
-    lam[interior] = kernel(p, point_geometry_batch(p, X[interior]), gradients=False).values
-    lam[band] = _edge_limit_values(p, X[band])
-    _require_finite(lam, f"{kind} values")
-    return lam[0] if single else lam
+    lam = np.empty((p.n, X.shape[0]))
+    lam[:, interior] = kernel(p, point_geometry_batch(p, X[interior]), gradients=False)[0]
+    lam[:, band] = _edge_limit_values(p, X[band])
+    _require_finite(kind, lam)
+    return lam[:, 0] if single else np.ascontiguousarray(lam.T)
 
 
 def coordinate_gradients(p: Polygon, points, kind: str) -> BasisEval:
@@ -180,10 +194,13 @@ def coordinate_gradients(p: Polygon, points, kind: str) -> BasisEval:
         raise PointTooCloseToBoundary(
             f"gradients need strictly interior points; index {int(np.argmax(band))} is not"
         )
-    out = kernel(p, point_geometry_batch(p, X), gradients=True)
+    lam, glam = kernel(p, point_geometry_batch(p, X), gradients=True)
+    _require_finite(kind, lam, glam)
+    values = np.ascontiguousarray(lam.T)
+    grads = np.ascontiguousarray(glam.transpose(2, 1, 0))
     if single:
-        return BasisEval(values=out.values[0], gradients=out.gradients[0])
-    return out
+        return BasisEval(values=values[0], gradients=grads[0])
+    return BasisEval(values=values, gradients=grads)
 
 
 def mvc_values(p: Polygon, points) -> np.ndarray:
@@ -229,11 +246,13 @@ def fd_gradient(p: Polygon, points, kind: str = "mvc") -> np.ndarray:
             f"stencil of half-width {h:g} leaves the interior at point index "
             f"{int(np.argmax(band))}"
         )
-    m = X.shape[0]
     shifts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    stencil = (X[:, None, :] + shifts[None, :, :]).reshape(m * 4, 2)
-    vals = kernel(p, point_geometry_batch(p, stencil), gradients=False).values.reshape(m, 4, p.n)
-    grad = np.stack([vals[:, 0] - vals[:, 1], vals[:, 2] - vals[:, 3]], axis=2) / (2.0 * h)
+    stencil = (shifts[:, None, :] + X[None, :, :]).reshape(-1, 2)
+    vals = kernel(p, point_geometry_batch(p, stencil), gradients=False)[0]
+    vals = vals.reshape(p.n, 4, X.shape[0])
+    _require_finite(kind, vals)
+    grad = np.stack([vals[:, 0] - vals[:, 1], vals[:, 2] - vals[:, 3]]) / (2.0 * h)
+    grad = np.ascontiguousarray(grad.transpose(2, 1, 0))
     return grad[0] if single else grad
 
 
@@ -313,10 +332,11 @@ def sup_gradient_scan(
         raise ValueError("margin must exceed the interior tolerance")
     kernel = _kernel(p, kind)
     pts = _scan_grid(p, resolution, margin)
-    out = kernel(p, point_geometry_batch(p, pts), gradients=True)
-    norms = np.hypot(out.gradients[:, :, 0], out.gradients[:, :, 1])
-    rows = np.argmax(norms, axis=0)
-    per_vertex = norms[rows, np.arange(p.n)]
+    lam, glam = kernel(p, point_geometry_batch(p, pts), gradients=True)
+    _require_finite(kind, lam, glam)
+    norms = np.hypot(glam[0], glam[1])
+    rows = np.argmax(norms, axis=1)
+    per_vertex = norms[np.arange(p.n), rows]
     k = int(np.argmax(per_vertex))
     return ScanResult(
         kind=kind,

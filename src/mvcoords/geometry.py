@@ -24,11 +24,6 @@ EPS_GEOM = 1e-12
 EPS_EVAL = 1e-9
 
 
-def _rot_cw(u: np.ndarray) -> np.ndarray:
-    """Rotate 2D vectors (last axis) by -90 degrees."""
-    return np.stack([u[..., 1], -u[..., 0]], axis=-1)
-
-
 def _rot_ccw(u: np.ndarray) -> np.ndarray:
     """Rotate 2D vectors (last axis) by +90 degrees."""
     return np.stack([-u[..., 1], u[..., 0]], axis=-1)
@@ -166,22 +161,26 @@ class Polygon:
         X = np.atleast_2d(np.asarray(points, dtype=float))
         v = self._vertices
         e = self.edge_vectors
-        d = X[:, None, :] - v[None, :, :]
-        cross = e[None, :, 0] * d[:, :, 1] - e[None, :, 1] * d[:, :, 0]
-        return np.min(cross / self.edge_lengths[None, :], axis=1)
+        # (n, m) planes of x - v_k, one row per edge
+        dx = X[:, 0] - v[:, 0, None]
+        dy = X[:, 1] - v[:, 1, None]
+        cross = e[:, 0, None] * dy - e[:, 1, None] * dx
+        return np.min(cross / self.edge_lengths[:, None], axis=0)
 
     def edge_distances(self, points) -> np.ndarray:
         """Euclidean distance from each point to each closed edge segment.
 
-        Returns an (m, n) array for (m, 2) input points.
+        Returns an (n, m) edge-major array for (m, 2) input points: row k
+        holds the distances to edge k.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
         v = self._vertices
         e = self.edge_vectors
-        d = X[:, None, :] - v[None, :, :]
-        tt = np.clip(np.sum(d * e[None, :, :], axis=2) / np.sum(e * e, axis=1)[None, :], 0.0, 1.0)
-        foot = v[None, :, :] + tt[:, :, None] * e[None, :, :]
-        return np.hypot(X[:, None, 0] - foot[:, :, 0], X[:, None, 1] - foot[:, :, 1])
+        dx = X[:, 0] - v[:, 0, None]
+        dy = X[:, 1] - v[:, 1, None]
+        ex, ey = e[:, 0, None], e[:, 1, None]
+        tt = np.clip((dx * ex + dy * ey) / np.sum(e * e, axis=1)[:, None], 0.0, 1.0)
+        return np.hypot(X[:, 0] - (v[:, 0, None] + tt * ex), X[:, 1] - (v[:, 1, None] + tt * ey))
 
     def __repr__(self) -> str:
         return f"Polygon(n={self.n}, diameter={self.diameter:.6g})"
@@ -286,7 +285,7 @@ def compute_hstar(p: Polygon) -> float:
         return 2.0 * p.area / float(p.edge_lengths.sum())
     dist = p.edge_distances(p.vertices)
     k = np.arange(p.n)
-    dist[k, k] = dist[k, k - 1] = np.inf  # vertex k ends edges k - 1 and k
+    dist[k, k] = dist[k - 1, k] = np.inf  # vertex k ends edges k - 1 and k
     return 0.5 * float(dist.min())
 
 
@@ -311,40 +310,48 @@ def apex_pentagon(height: float) -> Polygon:
 
 
 class PointGeometryArrays:
-    """Per-point geometry of m evaluation points against the n vertices.
+    """Per-point geometry of m evaluation points against the n vertices,
+    stored vertex-major.
 
-    Fields are computed on first use and kept, so a caller pays only for
-    what it reads: ``r`` (distances r_i), ``cross`` and ``dot`` of the
-    vertex-to-point vector pairs (v_i - x, v_{i+1} - x), ``alpha``
-    (subtended angles alpha_i), ``t`` (half-angle tangents t_i), and the
-    gradients ``grad_r``, ``grad_alpha`` and ``grad_t``. Arrays have shape
-    (m, n) or, for gradients, (m, n, 2); ``cross`` is twice the signed
-    triangle area A(x, v_i, v_{i+1}).
+    Every field is an (n, m) plane whose row i holds vertex i's value at
+    each point, so the cyclic next vertex is a row shift and a sum over
+    the vertices is n contiguous row adds. Gradient fields are (2, n, m):
+    an x plane and a y plane. Fields are computed on first use and kept, so
+    a caller pays only for what it reads: ``r`` (distances r_i), ``cross``
+    and ``dot`` of the vertex-to-point vector pairs (v_i - x, v_{i+1} - x),
+    ``alpha`` (subtended angles alpha_i), ``t`` (half-angle tangents t_i),
+    and the gradients ``grad_r``, ``grad_alpha`` and ``grad_t``; ``cross``
+    is twice the signed triangle area A(x, v_i, v_{i+1}).
     """
 
     def __init__(self, p: Polygon, points) -> None:
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        # x - v_i, shape (m, n, 2): five fields read it, so it is kept
-        self._d = X[:, None, :] - p.vertices[None, :, :]
+        # x - v_i as x and y planes, shape (2, n, m): five fields read it,
+        # so it is kept
+        self._d = X.T[:, None, :] - p.vertices.T[:, :, None]
 
+    @staticmethod
+    def _next(a: np.ndarray) -> np.ndarray:
+        """Rows of vertex i + 1 (cyclically) at row i of a plane stack."""
+        return np.roll(a, -1, axis=-2)
+
+    @cached_property
     def _d_next(self) -> np.ndarray:
-        return np.roll(self._d, -1, axis=1)
-
-    def _r_next(self) -> np.ndarray:
-        return np.roll(self.r, -1, axis=1)
+        return self._next(self._d)
 
     @cached_property
     def r(self) -> np.ndarray:
-        return np.hypot(self._d[:, :, 0], self._d[:, :, 1])
+        return np.hypot(self._d[0], self._d[1])
 
     @cached_property
     def cross(self) -> np.ndarray:
-        d, d_next = self._d, self._d_next()
-        return d[:, :, 0] * d_next[:, :, 1] - d[:, :, 1] * d_next[:, :, 0]
+        (dx, dy), (nx, ny) = self._d, self._d_next
+        return dx * ny - dy * nx
 
     @cached_property
     def dot(self) -> np.ndarray:
-        return np.sum(self._d * self._d_next(), axis=2)
+        (dx, dy), (nx, ny) = self._d, self._d_next
+        return dx * nx + dy * ny
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -352,7 +359,7 @@ class PointGeometryArrays:
 
     @cached_property
     def t(self) -> np.ndarray:
-        rr = self.r * self._r_next()
+        rr = self.r * self._next(self.r)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(self.dot >= 0.0, self.cross / (rr + self.dot),
                             (rr - self.dot) / self.cross)
@@ -360,27 +367,31 @@ class PointGeometryArrays:
     @cached_property
     def grad_r(self) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self._d / self.r[:, :, None]
+            return self._d / self.r
 
     @cached_property
     def grad_alpha(self) -> np.ndarray:
-        r, r_next = self.r, self._r_next()
+        # x - v_i turned by -90 degrees over r_i^2, plus x - v_{i+1} turned
+        # by +90 degrees over r_{i+1}^2
+        (dx, dy), (nx, ny) = self._d, self._d_next
+        rr = self.r * self.r
+        rr_next = self._next(rr)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (_rot_cw(self._d) / (r * r)[:, :, None]
-                    + _rot_ccw(self._d_next()) / (r_next * r_next)[:, :, None])
+            return np.stack([dy / rr - ny / rr_next, nx / rr_next - dx / rr])
 
     @cached_property
     def grad_t(self) -> np.ndarray:
         # grad t = grad alpha / (1 + cos alpha) = grad alpha (1 + t^2) / 2,
         # taken from the cancellation-free t: the form (r_i r_{i+1} + dot)
         # cancels catastrophically as alpha -> pi, next to an edge
-        return self.grad_alpha * (0.5 * (1.0 + self.t * self.t))[:, :, None]
+        return self.grad_alpha * (0.5 * (1.0 + self.t * self.t))
 
 
 def point_geometry_batch(p: Polygon, points) -> PointGeometryArrays:
     """Distances r_i, subtended angles alpha_i, half-angle tangents t_i and
     their gradients at each point of an (m, 2) batch, each computed when
-    first read.
+    first read, as (n, m) vertex-major planes; a gradient is a (2, n, m)
+    stack of its x and y planes.
 
     Pure array computation with no interiority checks; callers gate the
     points. Angles come from atan2 of cross/dot, and tangents use

@@ -56,8 +56,16 @@ def test_sample_interior_respects_margin():
     rng = np.random.default_rng(11)
     pts = sample_interior(square, rng, 500, margin=0.05)
     assert pts.shape == (500, 2)
-    dist = square.edge_distances(pts).min(axis=1)
+    dist = square.edge_distances(pts).min(axis=0)
     assert dist.min() >= 0.05 - 1e-12
+
+
+def test_sample_interior_rejects_margin_at_inradius():
+    """No point of the unit square (inradius 0.5) is 0.6 inside, so the
+    rejection loop could never finish."""
+    square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match=r"margin 0\.6 .* inradius 0\.5"):
+        sample_interior(square, np.random.default_rng(0), 1, margin=0.6)
 
 
 def test_small_audit_run_is_clean():
@@ -110,35 +118,36 @@ def test_far_close_vertices_matches_per_angle_loop():
     same violations as a loop over every wide angle."""
     rng = np.random.default_rng(3)
     for n in (3, 5, 8):
-        small_r = rng.random((400, n)) < 0.3
-        big_a = rng.random((400, n)) < 0.2
+        # the masks are vertex-major, (n, m), drawn point by point
+        small_r = (rng.random((400, n)) < 0.3).T
+        big_a = (rng.random((400, n)) < 0.2).T
         bad = 0
-        rows, ii = np.nonzero(big_a)
-        for row, i in zip(rows, ii):
-            js = np.nonzero(small_r[row])[0]
+        ii, cols = np.nonzero(big_a)
+        for i, col in zip(ii, cols):
+            js = np.nonzero(small_r[:, col])[0]
             bad += int(np.any((js != i) & (js != (i + 1) % n)))
         assert bad > 0
-        assert _far_close_vertices(small_r, big_a) == (len(rows), bad)
+        assert _far_close_vertices(small_r, big_a) == (len(ii), bad)
 
 
 @pytest.mark.parametrize("poisoned_call", [0, 1, 2, 3], ids=["x", "xg", "xf", "fd-stencil"])
 def test_audit_rejects_non_finite_mean_value_weights(monkeypatch, poisoned_call):
     """A NaN weight in one sample would pass every check (NaN > tol is
-    False), so the kernels' finiteness guard has to stop the audit on
-    whichever mean value evaluation it reaches: values at x, gradients at
-    xg and at the FD samples, or the FD stencil."""
+    False), so the finiteness guard has to stop the audit on whichever
+    mean value evaluation it reaches: values at x, gradients at xg and at
+    the FD samples, or the FD stencil; its error names the point."""
     real = coords._mvc_weights
     calls = []
 
     def poisoned(g):
         w = real(g)
         if len(calls) == poisoned_call:
-            w[0, 0] = np.nan
-        calls.append(w.shape[0])
+            w[0, 0] = np.nan  # vertex 0 at point 0
+        calls.append(w.shape[1])
         return w
 
     monkeypatch.setattr(coords, "_mvc_weights", poisoned)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=r"point index 0\b"):
         run_property_audit(1, 50)
     assert len(calls) == poisoned_call + 1
 

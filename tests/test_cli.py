@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mvcoords
+from mvcoords import coords
 from mvcoords.cli import main
 from mvcoords.coords import (
     mvc_gradients,
@@ -114,6 +115,32 @@ def test_eval_outside_point_run_continues(polys, capsys):
     assert first[2] == "OutsidePolygon"
     assert all(c == "" for c in first[3:])
     assert lines[2].split(",")[2] == "ok"
+
+
+def test_eval_non_finite_point_run_continues(polys, capsys, monkeypatch):
+    """An interior point whose values come out non-finite gets the status
+    EvaluationError and empty cells; every other row prints as before."""
+    argv = ["eval", "--polygon", polys["square"], "--point", "2,2", "--point", "0.25,0.5",
+            "--point", "0.5,0.5", "--point", "0.3,0", "--point", "0.75,0.5"]
+    rc, clean, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    real = coords._mvc_weights
+
+    def poisoned(g):
+        w = real(g)
+        if w.shape[1] == 3:  # the interior points, in input order
+            w[0, 1] = np.nan  # vertex 0 at (0.5, 0.5)
+        return w
+
+    monkeypatch.setattr(coords, "_mvc_weights", poisoned)
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    got, want = out.splitlines(), clean.splitlines()
+    assert [line.split(",")[2] for line in got[1:]] == [
+        "OutsidePolygon", "ok", "EvaluationError", "PointTooCloseToBoundary", "ok"]
+    assert all(c == "" for c in got[3].split(",")[3:])
+    assert got[:3] + got[4:] == want[:3] + want[4:]
+    assert want[3].split(",")[2] == "ok"
 
 
 def eval_one_point_at_a_time(path, points, grid, kind):

@@ -65,7 +65,8 @@ def test_triangle_matches_areal_values():
 
 
 def mvc_weights(p, points):
-    """Unnormalized mean value weights (t_{i-1} + t_i) / r_i."""
+    """Unnormalized mean value weights (t_{i-1} + t_i) / r_i, as an (n, m)
+    vertex-major plane."""
     return _mvc_weights(point_geometry_batch(p, points))
 
 
@@ -80,7 +81,7 @@ def test_mvc_weight_sum_lower_bound(polygon_suite, rng):
     for p in polygon_suite[:5]:
         w = mvc_weights(p, sample_interior(p, rng, 50))
         assert np.all(w > 0)
-        assert np.all(w.sum(axis=1) >= 2.0 * np.pi - 1e-9)
+        assert np.all(w.sum(axis=0) >= 2.0 * np.pi - 1e-9)
 
 
 def test_batch_matches_single(rng):
@@ -116,17 +117,92 @@ def test_kernel_on_shared_geometry_matches_public_functions(
     polygon_suite, rng, kind, values, gradients
 ):
     """One point geometry serves a values call and then a gradients call,
-    bit-equal to the public functions that build their own."""
+    bit-equal, once out of the (n, m) plane layout, to the public functions
+    that build their own."""
     for p in polygon_suite[:4]:
         pts = sample_interior(p, rng, 200, margin=1e-6)
         g = point_geometry_batch(p, pts)
         kernel = _kernel(p, kind)
-        lam = kernel(p, g, gradients=False).values
-        out = kernel(p, g, gradients=True)
+        lam, _ = kernel(p, g, gradients=False)
+        lam_g, glam = kernel(p, g, gradients=True)
         ref = gradients(p, pts)
-        assert np.array_equal(lam, values(p, pts))
-        assert np.array_equal(out.values, ref.values)
-        assert np.array_equal(out.gradients, ref.gradients)
+        assert np.array_equal(lam.T, values(p, pts))
+        assert np.array_equal(lam_g.T, ref.values)
+        assert np.array_equal(glam.transpose(2, 1, 0), ref.gradients)
+
+
+def _point_major_reference(p, X, kind):
+    """The coordinate kernels step for step in the point-major layout, values
+    (m, n) and gradients (m, n, 2), at strictly interior points X."""
+    d = X[:, None, :] - p.vertices[None, :, :]
+    d_next = np.roll(d, -1, axis=1)
+    r = np.hypot(d[:, :, 0], d[:, :, 1])
+    r_next = np.roll(r, -1, axis=1)
+    cross = d[:, :, 0] * d_next[:, :, 1] - d[:, :, 1] * d_next[:, :, 0]
+    if kind == "mvc":
+        dot = np.sum(d * d_next, axis=2)
+        rr = r * r_next
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(dot >= 0.0, cross / (rr + dot), (rr - dot) / cross)
+        grad_alpha = (np.stack([d[:, :, 1], -d[:, :, 0]], axis=2) / (r * r)[:, :, None]
+                      + np.stack([-d_next[:, :, 1], d_next[:, :, 0]], axis=2)
+                      / (r_next * r_next)[:, :, None])
+        grad_t = grad_alpha * (0.5 * (1.0 + t * t))[:, :, None]
+        w = (np.roll(t, 1, axis=1) + t) / r
+        gw = ((np.roll(grad_t, 1, axis=1) + grad_t) / r[:, :, None]
+              - (w / r)[:, :, None] * (d / r[:, :, None]))
+    else:
+        s = np.ldexp(1.0, -2 * np.frexp(p.diameter)[1])
+        area = 0.5 * s * cross
+        area_prev = np.roll(area, 1, axis=1)
+        e = p.edge_vectors
+        e_prev = np.roll(e, 1, axis=0)
+        corner = 0.5 * s * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0])
+        w = corner[None, :] / (area_prev * area)
+        ga = 0.5 * s * _rot_ccw(e)
+        ratio = ga[None] / area[:, :, None] + np.roll(ga, 1, axis=0)[None] / area_prev[:, :, None]
+        gw = -w[:, :, None] * ratio
+    total = np.sum(w, axis=1, keepdims=True)
+    lam = w / total
+    gtotal = np.sum(gw, axis=1, keepdims=True)
+    return lam, (gw - lam[:, :, None] * gtotal) / total[:, :, None]
+
+
+@st.composite
+def ellipse_polygons(draw):
+    """Strictly convex polygons of 3..10 vertices on a random ellipse."""
+    n = draw(st.integers(3, 10))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    ang = draw(st.floats(0.0, 2.0 * np.pi)) + 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    aspect = draw(st.floats(0.2, 1.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shift = np.array(draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))))
+    return Polygon(scale * (np.column_stack([np.cos(ang), aspect * np.sin(ang)]) + shift))
+
+
+@given(p=ellipse_polygons(), seed=st.integers(0, 2**32 - 1))
+def test_plane_kernels_match_point_major_reference(p, seed):
+    """The public (m, n) and (m, n, 2) outputs of both kinds equal the
+    point-major reference bit for bit below 8 vertices, where a sum over
+    the vertex rows adds in the same order as a sum along a short last
+    axis; from 8 on numpy's pairwise order differs, within 4 n eps of each
+    point's largest entry."""
+    rng = np.random.default_rng(seed)
+    X = rng.dirichlet(np.ones(p.n), size=64) @ p.vertices
+    X = X[p.signed_boundary_distance(X) > 10.0 * p.eps_interior]
+    tol = 4.0 * p.n * EPS
+    for kind, values, gradients in (("mvc", mvc_values, mvc_gradients),
+                                    ("wachspress", wachspress_values, wachspress_gradients)):
+        lam, glam = _point_major_reference(p, X, kind)
+        out = gradients(p, X)
+        for got, want in ((values(p, X), lam), (out.values, lam), (out.gradients, glam)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            if p.n < 8:
+                assert np.array_equal(got, want)
+            else:
+                axes = tuple(range(1, want.ndim))
+                scale = np.abs(want).max(axis=axes)
+                assert np.all(np.abs(got - want).max(axis=axes) <= tol * scale)
 
 
 # --------------------------------------------------------- boundary behavior
@@ -357,18 +433,18 @@ def test_wachspress_area_scaling_is_exact(polygon_suite, rng):
     for p in polygon_suite:
         pts = sample_interior(p, rng, 50, margin=1e-3)
         g = point_geometry_batch(p, pts)
-        area = 0.5 * g.cross
-        area_prev = np.roll(area, 1, axis=1)
+        area = 0.5 * g.cross  # (n, m) planes
+        area_prev = np.roll(area, 1, axis=0)
         e = p.edge_vectors
         e_prev = np.roll(e, 1, axis=0)
-        w = 0.5 * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]) / (area_prev * area)
-        ga = 0.5 * _rot_ccw(e)
-        ratio = ga / area[:, :, None] + np.roll(ga, 1, axis=0) / area_prev[:, :, None]
-        ref = _normalized(w, -w[:, :, None] * ratio, "wachspress")
+        w = (0.5 * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]))[:, None] / (area_prev * area)
+        ga = (0.5 * _rot_ccw(e)).T[:, :, None]
+        ratio = ga / area + np.roll(ga, 1, axis=1) / area_prev
+        lam, glam = _normalized(w, -w * ratio)
         out = wachspress_gradients(p, pts)
-        assert np.array_equal(wachspress_values(p, pts), ref.values)
-        assert np.array_equal(out.values, ref.values)
-        assert np.array_equal(out.gradients, ref.gradients)
+        assert np.array_equal(wachspress_values(p, pts), lam.T)
+        assert np.array_equal(out.values, lam.T)
+        assert np.array_equal(out.gradients, glam.transpose(2, 1, 0))
 
 
 def test_fd_step_validation():
@@ -391,8 +467,8 @@ def test_grad_alpha_triangle_inequality_bound(polygon_suite, rng):
     for p in polygon_suite[:4]:
         pts = sample_interior(p, rng, 500)
         g = point_geometry_batch(p, pts)
-        bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=1)
-        norms = np.hypot(g.grad_alpha[:, :, 0], g.grad_alpha[:, :, 1])
+        bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=0)
+        norms = np.hypot(g.grad_alpha[0], g.grad_alpha[1])
         assert np.all(norms <= bound * (1.0 + 1e-9))
 
 

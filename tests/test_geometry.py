@@ -206,11 +206,11 @@ def test_hstar_triangle_matches_incircle(rng):
         opposite = np.roll(tri.edge_lengths, -1)  # side facing each vertex
         incenter = opposite @ tri.vertices / opposite.sum()
         h = compute_hstar(tri)
-        assert_allclose(tri.edge_distances(incenter)[0], h, rtol=1e-12)
+        assert_allclose(tri.edge_distances(incenter)[:, 0], h, rtol=1e-12)
         x0, y0, x1, y1 = tri.bbox
         pts = rng.uniform((x0, y0), (x1, y1), (2000, 2))
         pts = pts[tri.signed_boundary_distance(pts) > 0.0]
-        assert tri.edge_distances(pts).max(axis=1).min() >= h
+        assert tri.edge_distances(pts).max(axis=0).min() >= h
 
 
 def test_hstar_sampling_oracle(rng):
@@ -320,7 +320,7 @@ def test_point_geometry_square_center():
 def test_point_geometry_triangle():
     tri = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     g = point_geometry_batch(tri, [(0.25, 0.25)])
-    assert_allclose(g.r[0], [np.sqrt(2.0) / 4.0, 0.7905694150, 0.7905694150],
+    assert_allclose(g.r[:, 0], [np.sqrt(2.0) / 4.0, 0.7905694150, 0.7905694150],
                     rtol=1e-9)
     assert g.alpha.sum() == pytest.approx(2.0 * np.pi, abs=1e-12)
 
@@ -330,7 +330,7 @@ def test_angle_sum_random_points(polygon_suite, rng):
 
     for p in polygon_suite[:4]:
         g = point_geometry_batch(p, sample_interior(p, rng, 200))
-        assert np.all(np.abs(g.alpha.sum(axis=1) - 2.0 * np.pi) < 1e-12)
+        assert np.all(np.abs(g.alpha.sum(axis=0) - 2.0 * np.pi) < 1e-12)
         assert np.all(g.alpha > 0) and np.all(g.alpha < np.pi)
         assert np.all(g.r > 0)
 
@@ -355,15 +355,15 @@ def test_point_geometry_gradients_match_fd():
         plus, minus = 1 + 2 * dim, 2 + 2 * dim
         for name in ("r", "alpha", "t"):
             f = getattr(g, name)
-            fd = (f[plus] - f[minus]) / (2 * h)
-            assert_allclose(getattr(g, f"grad_{name}")[0, :, dim], fd, atol=2e-7)
+            fd = (f[:, plus] - f[:, minus]) / (2 * h)
+            assert_allclose(getattr(g, f"grad_{name}")[dim, :, 0], fd, atol=2e-7)
 
 
 # ------------------------------------------------------------ ball intersect
 
 def ball_hits(p, x, h):
     """Closed edges the closed ball B(x, h) touches, as the audit counts them."""
-    return np.flatnonzero(p.edge_distances(x)[0] <= h)
+    return np.flatnonzero(p.edge_distances(x)[:, 0] <= h)
 
 
 def test_ball_misses_all_edges_at_center():
