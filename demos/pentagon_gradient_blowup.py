@@ -1,8 +1,8 @@
 """Gradient growth of two coordinate families on a flattening pentagon.
 
-The pentagon has a square base and an apex at (0.5, h). As h drops
-toward 1 the apex angle opens toward pi and the polygon stays convex
-but becomes "nearly degenerate". Mean value coordinates keep bounded
+The pentagon is the square [-1, 1]^2 with a fifth vertex, the apex, at
+(0, h) over its top edge. As h drops toward 1 the apex angle opens
+toward pi and the polygon stays convex but becomes "nearly degenerate". Mean value coordinates keep bounded
 gradients in this limit; the rational (Wachspress) coordinates do not,
 and the scan below watches their sup gradient norm take off while the
 mean value numbers barely move.

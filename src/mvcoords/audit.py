@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .coords import _kernel, _mvc_weights, _require_finite, fd_gradient
+from .coords import _mvc_weights, fd_gradient, interior_coordinates
 from .errors import PolygonError
 from .geometry import (
     GeometricConstants,
@@ -27,6 +27,7 @@ from .geometry import (
 GAMMA_MAX = 6.0
 D_STAR = 0.1
 MAX_DRAWS = 2000
+MAX_SAMPLE_ROUNDS = 1000  # candidate rounds per sample_interior call
 KINDS = ("mvc", "wachspress")
 FD_SAMPLES = 10  # points per kind for the analytic vs FD gradient check
 
@@ -84,21 +85,24 @@ def sample_interior(
     """Uniform interior samples at least ``margin`` from the boundary
     (default: the strict-interior tolerance), by bbox rejection.
 
-    No point lies farther inside than the inradius, so a margin at or
-    above it raises ValueError.
+    No point lies farther inside than the inradius, so a margin at or above
+    it raises ValueError, as does one so close below it that
+    MAX_SAMPLE_ROUNDS rounds of candidates do not yield ``count`` samples.
     """
     margin = p.eps_interior if margin is None else float(margin)
-    if margin >= p.inradius:
-        raise ValueError(f"margin {margin:g} is not below the inradius {p.inradius:g}")
     x0, y0, x1, y1 = p.bbox
     out = np.empty((count, 2))
     have = 0
-    while have < count:
+    for _ in range(MAX_SAMPLE_ROUNDS if margin < p.inradius else 0):
+        if have == count:
+            break
         cand = rng.uniform((x0, y0), (x1, y1), size=(2 * (count - have) + 16, 2))
         keep = cand[p.signed_boundary_distance(cand) > margin]
         take = min(count - have, keep.shape[0])
         out[have:have + take] = keep[:take]
         have += take
+    if have < count or margin >= p.inradius:
+        raise ValueError(f"margin {margin:g} is not safely below the inradius {p.inradius:g}")
     return out
 
 
@@ -248,9 +252,7 @@ def audit_polygon(
     vt = p.vertices.T  # vt @ lam is sum_i v_i lambda_i, one row per coordinate
 
     for k, kind in enumerate(KINDS):
-        kernel = _kernel(p, kind)
-        lam, _ = kernel(p, g, gradients=False)
-        _require_finite(kind, lam)
+        lam, _ = interior_coordinates(p, g, kind, gradients=False)
 
         c = checks[f"nonnegative ({kind})"]
         c.add(samples * n, np.count_nonzero(lam < TOL_NONNEGATIVE), float((-lam).max()))
@@ -263,8 +265,7 @@ def audit_polygon(
         err = np.abs(vt @ lam - x.T).max(axis=0)
         c.add(samples, np.count_nonzero(err > TOL_LINEAR_PRECISION * p.diameter), err.max())
 
-        lam_g, glam = kernel(p, gg, gradients=True)
-        _require_finite(kind, lam_g, glam)
+        _, glam = interior_coordinates(p, gg, kind, gradients=True)
 
         c = checks[f"grad sum zero ({kind})"]
         err = np.abs(glam.sum(axis=1)).max(axis=0)
@@ -277,8 +278,7 @@ def audit_polygon(
         c.add(samples, np.count_nonzero(err > TOL_GRAD_SUM), err.max())
 
         c = checks[f"analytic vs FD gradient ({kind})"]
-        lam_f, glam_f = kernel(p, gf, gradients=True)
-        _require_finite(kind, lam_f, glam_f)
+        _, glam_f = interior_coordinates(p, gf, kind, gradients=True)
         ana = glam_f[:, :, k * FD_SAMPLES:(k + 1) * FD_SAMPLES]
         fd = fd_gradient(p, xf[k], kind=kind).transpose(2, 1, 0)
         rel = np.hypot(*(ana - fd)) / np.maximum(np.hypot(*ana), 0.01)

@@ -19,14 +19,7 @@ import sys
 import numpy as np
 
 from .audit import run_property_audit
-from .coords import (
-    _classify,
-    _kernel,
-    _nonfinite_points,
-    coordinate_gradients,
-    coordinate_values,
-    sup_gradient_scan,
-)
+from .coords import BAND, NONFINITE, OK, STATUS_NAMES, evaluate, sup_gradient_scan
 from .errors import NoConvergence
 from .fem import convergence_study
 from .geometry import (
@@ -34,7 +27,6 @@ from .geometry import (
     geometric_constants,
     load_polygon,
     normalize_to_unit_diameter,
-    point_geometry_batch,
 )
 
 
@@ -79,36 +71,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pts = np.concatenate([pts, _bbox_lattice(p, args.grid)])
 
     n = len(p.vertices)
-    outside, band, interior = _classify(p, pts)
-    lam = np.empty((len(pts), n))
-    grad = np.empty((len(pts), n, 2))
-    lam[band] = coordinate_values(p, pts[band], args.kind)
-    kernel = _kernel(p, args.kind)
-    values, gradients = kernel(p, point_geometry_batch(p, pts[interior]), gradients=True)
-    lam[interior] = values.T
-    grad[interior] = gradients.transpose(2, 1, 0)
-    failed = np.zeros(len(pts), dtype=bool)
-    failed[interior] = _nonfinite_points(values) | _nonfinite_points(gradients)
+    ev = evaluate(p, pts, args.kind, gradients=True)
 
     header = ["x", "y", "status"]
     for i in range(n):
         header += [f"lambda_{i}", f"grad_x_{i}", f"grad_y_{i}"]
     lines = [",".join(header)]
-    for k, (x, y) in enumerate(pts):
+    # one transpose to point-major rows of Python floats for the whole dump
+    rows = zip(pts.tolist(), ev.status.tolist(), ev.values.T.tolist(),
+               ev.gradients[0].T.tolist(), ev.gradients[1].T.tolist())
+    for (x, y), status, lam, gx, gy in rows:
         cells = [""] * (3 * n)
-        status = "ok"
-        if outside[k]:
-            status = "OutsidePolygon"
-        elif failed[k]:
-            status = "EvaluationError"
-        else:
-            cells[0::3] = [f"{v:.6g}" for v in lam[k]]
-            if band[k]:
-                status = "PointTooCloseToBoundary"
-            else:
-                cells[1::3] = [f"{g:.6g}" for g in grad[k, :, 0]]
-                cells[2::3] = [f"{g:.6g}" for g in grad[k, :, 1]]
-        lines.append(f"{x:.6g},{y:.6g},{status}," + ",".join(cells))
+        if status in (OK, BAND):
+            cells[0::3] = [f"{v:.6g}" for v in lam]
+        if status == OK:
+            cells[1::3] = [f"{g:.6g}" for g in gx]
+            cells[2::3] = [f"{g:.6g}" for g in gy]
+        lines.append(f"{x:.6g},{y:.6g},{STATUS_NAMES[status]}," + ",".join(cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -163,12 +142,11 @@ def cmd_pentagon_study(args: argparse.Namespace) -> int:
             if surface is None:
                 continue
             lattice = _bbox_lattice(p, args.grid)
-            pts = lattice[_classify(p, lattice)[2]]
-            basis = coordinate_gradients(p, pts, kind)
-            apex_i = len(p.vertices) - 1
-            for (x, y), lam, (gx, gy) in zip(
-                pts, basis.values[:, apex_i], basis.gradients[:, apex_i]
-            ):
+            ev = evaluate(p, lattice, kind, gradients=True)
+            ev.raise_first(NONFINITE)
+            ok = ev.status == OK
+            apex = ev.values[-1, ok], *ev.gradients[:, -1, ok]  # the apex is the last vertex
+            for (x, y), lam, gx, gy in zip(lattice[ok], *apex):
                 surface.append(f"{a:g},{kind},{x:.6g},{y:.6g},{lam:.6g},{gx:.6g},{gy:.6g}")
     _emit("\n".join(rows) + "\n", args.out)
     if surface is not None:

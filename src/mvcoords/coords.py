@@ -3,7 +3,9 @@
 Both families are evaluated in batch over (m, 2) point arrays. Values are
 defined on the closed polygon (boundary points take the edge-limit path,
 which is linear along each edge); analytic gradients are defined only at
-strictly interior points.
+strictly interior points. :func:`evaluate` classifies each point once and
+is the path every point-array call takes; :func:`interior_coordinates`
+runs the kernels on a geometry of points already known to be interior.
 """
 
 from __future__ import annotations
@@ -41,34 +43,11 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def _classify(
-    p: Polygon, X: np.ndarray, inset: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outside, boundary-band and interior masks of an (m, 2) point array.
-
-    Points more than the interior tolerance outside the polygon are
-    outside, points more than ``inset`` plus that tolerance inside are
-    interior, and the rest form the band in between.
-    """
-    sd = p.signed_boundary_distance(X)
-    eps = p.eps_interior
-    outside = sd < -eps
-    interior = sd > inset + eps
-    return outside, ~(outside | interior), interior
-
-
-def _reject_outside(outside: np.ndarray) -> None:
-    if outside.any():
-        raise OutsidePolygon(f"point index {int(np.argmax(outside))} lies outside the polygon")
-
-
 def _edge_limit_values(p: Polygon, X: np.ndarray) -> np.ndarray:
     """Boundary values as an (n, m) plane: linear along the nearest edge,
     delta at vertices."""
     m = X.shape[0]
     lam = np.zeros((p.n, m))
-    if m == 0:
-        return lam
     k = np.argmin(p.edge_distances(X), axis=0)
     v = p.vertices[k]
     e = p.edge_vectors[k]
@@ -79,24 +58,24 @@ def _edge_limit_values(p: Polygon, X: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _nonfinite_points(planes: np.ndarray) -> np.ndarray:
-    """(m,) mask of the points, along the last axis, at which any plane
-    holds a non-finite entry."""
-    return ~np.isfinite(planes).all(axis=tuple(range(planes.ndim - 1)))
+# Per-point status codes of an Evaluation. The failing ones are numbered in
+# the order batch calls check them, and each maps to the error a call
+# raises for it and the message that names the point.
+OK, OUTSIDE, BAND, NONFINITE = range(4)
+_STATUS_ERRORS = (
+    None,
+    (OutsidePolygon, "point index {i} lies outside the polygon"),
+    (PointTooCloseToBoundary, "gradients need strictly interior points; point index {i} is not"),
+    (EvaluationError, "non-finite {kind} coordinates at point index {i}; too near the boundary?"),
+)
+STATUS_NAMES = tuple("ok" if e is None else e[0].__name__ for e in _STATUS_ERRORS)
 
 
-def _require_finite(kind: str, lam: np.ndarray, glam: np.ndarray | None = None) -> None:
-    """Raise EvaluationError naming the first point whose coordinate
-    values (n, m) or gradients (2, n, m) are not finite."""
-    for what, planes in (("values", lam), ("gradients", glam)):
-        if planes is None:
-            continue
-        bad = _nonfinite_points(planes)
-        if bad.any():
-            raise EvaluationError(
-                f"non-finite {kind} {what} at point index {int(np.argmax(bad))}; "
-                "point too close to the boundary?"
-            )
+def _raise_at(code: int, hit: np.ndarray, kind: str) -> None:
+    """Raise the error of status ``code`` at the first point of mask ``hit``, if any."""
+    if hit.any():
+        error, text = _STATUS_ERRORS[code]
+        raise error(text.format(i=int(np.argmax(hit)), kind=kind))
 
 
 def _normalized(w: np.ndarray, gw: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -144,63 +123,107 @@ def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
     return _normalized(w, gw)
 
 
-def _require_strictly_convex(p: Polygon) -> None:
+_INTERIOR = {"mvc": _mvc_interior, "wachspress": _wachspress_interior}
+
+
+def _require_kind(p: Polygon, kind: str) -> None:
+    """Raise ValueError for an unknown kind, and CollinearVertices for
+    Wachspress coordinates, which need every interior angle below pi."""
+    if kind not in _INTERIOR:
+        raise ValueError(f"unknown coordinate kind {kind!r}")
     gap = np.pi - p.interior_angles
-    if np.any(gap < _COLLINEAR_TOL):
+    if kind == "wachspress" and np.any(gap < _COLLINEAR_TOL):
         k = int(np.argmin(gap))
-        raise CollinearVertices(
-            f"interior angle at vertex {k} is within {_COLLINEAR_TOL:g} of pi"
-        )
+        raise CollinearVertices(f"interior angle at vertex {k} is within {_COLLINEAR_TOL:g} of pi")
 
 
-def _kernel(p: Polygon, kind: str):
-    """Interior evaluator ``kernel(p, g, gradients)`` of a coordinate kind
-    on a :func:`point_geometry_batch` object ``g``. It returns the values
-    as an (n, m) plane and, when asked, the gradients as (2, n, m) x and y
-    planes, else None. The output is not checked: a point too close to the
-    boundary can come out non-finite, which callers reject with
-    :func:`_require_finite`. Wachspress coordinates need every interior
-    angle below pi."""
-    if kind == "mvc":
-        return _mvc_interior
-    if kind == "wachspress":
-        _require_strictly_convex(p)
-        return _wachspress_interior
-    raise ValueError(f"unknown coordinate kind {kind!r}")
+def _interior_planes(p: Polygon, g: PointGeometryArrays, kind: str, gradients: bool):
+    """The unchecked kernel of a valid kind: the :func:`interior_coordinates`
+    planes and the (m,) mask of the points where they are not finite."""
+    lam, glam = _INTERIOR[kind](p, g, gradients)
+    bad = ~np.isfinite(lam).all(axis=0)
+    if glam is not None:
+        bad |= ~np.isfinite(glam).all(axis=(0, 1))
+    return lam, glam, bad
+
+
+def interior_coordinates(p: Polygon, g: PointGeometryArrays, kind: str, gradients: bool):
+    """Coordinates of kind "mvc" or "wachspress" on a
+    :func:`point_geometry_batch` object ``g`` of strictly interior points:
+    values as an (n, m) plane and, when asked, gradients as (2, n, m) x and
+    y planes, else None. The first point too near the boundary to come out
+    finite raises EvaluationError naming its index."""
+    _require_kind(p, kind)
+    lam, glam, bad = _interior_planes(p, g, kind, gradients)
+    _raise_at(NONFINITE, bad, kind)
+    return lam, glam
+
+
+@dataclass
+class Evaluation:
+    """Coordinates of one kind at m classified points: an (m,) status
+    code per point, values as an (n, m) plane and, when asked, gradients as
+    (2, n, m) planes. OK points have both, BAND points (within the interior
+    tolerance of the boundary) edge-limit values only; OUTSIDE and
+    NONFINITE (a non-finite point or kernel output) points neither."""
+
+    kind: str
+    status: np.ndarray
+    values: np.ndarray
+    gradients: np.ndarray | None
+
+    def raise_first(self, *codes: int) -> None:
+        """Raise the error of the first of ``codes`` that some point has."""
+        for code in codes:
+            _raise_at(code, self.status == code, self.kind)
+
+
+def evaluate(p: Polygon, points, kind: str, gradients: bool) -> Evaluation:
+    """Classify one (2,) or many (m, 2) points once, by their signed
+    boundary distance, and evaluate coordinates of kind "mvc" or
+    "wachspress" where defined: the interior kernel on the strictly
+    interior points only, edge-limit values on the boundary band. A failed
+    point raises nothing; its status says how it failed. A kind error
+    raises before any point is classified."""
+    _require_kind(p, kind)
+    X = _as_points(points)[0]
+    sd = p.signed_boundary_distance(X)
+    eps = p.eps_interior
+    # a non-finite point fails every comparison and keeps the default
+    status = np.select([sd < -eps, sd > eps, sd <= eps], [OUTSIDE, OK, BAND], NONFINITE)
+    interior = status == OK
+    band = status == BAND
+    lam = np.full((p.n, len(X)), np.nan)
+    glam = np.full((2, p.n, len(X)), np.nan) if gradients else None
+    values, grads, bad = _interior_planes(
+        p, point_geometry_batch(p, X[interior]), kind, gradients
+    )
+    lam[:, interior] = values
+    if gradients:
+        glam[:, :, interior] = grads
+    lam[:, band] = _edge_limit_values(p, X[band])
+    status[np.flatnonzero(interior)[bad]] = NONFINITE
+    return Evaluation(kind, status, lam, glam)
 
 
 def coordinate_values(p: Polygon, points, kind: str) -> np.ndarray:
     """Coordinates of kind "mvc" or "wachspress" at one (2,) or many
     (m, 2) points; see :func:`mvc_values`."""
-    kernel = _kernel(p, kind)
     X, single = _as_points(points)
-    outside, band, interior = _classify(p, X)
-    _reject_outside(outside)
-    lam = np.empty((p.n, X.shape[0]))
-    lam[:, interior] = kernel(p, point_geometry_batch(p, X[interior]), gradients=False)[0]
-    lam[:, band] = _edge_limit_values(p, X[band])
-    _require_finite(kind, lam)
-    return lam[:, 0] if single else np.ascontiguousarray(lam.T)
+    ev = evaluate(p, X, kind, gradients=False)
+    ev.raise_first(OUTSIDE, NONFINITE)
+    return ev.values[:, 0] if single else np.ascontiguousarray(ev.values.T)
 
 
 def coordinate_gradients(p: Polygon, points, kind: str) -> BasisEval:
     """Values and analytic gradients of kind "mvc" or "wachspress" at
     strictly interior points; see :func:`mvc_gradients`."""
-    kernel = _kernel(p, kind)
     X, single = _as_points(points)
-    outside, band, _ = _classify(p, X)
-    _reject_outside(outside)
-    if band.any():
-        raise PointTooCloseToBoundary(
-            f"gradients need strictly interior points; index {int(np.argmax(band))} is not"
-        )
-    lam, glam = kernel(p, point_geometry_batch(p, X), gradients=True)
-    _require_finite(kind, lam, glam)
-    values = np.ascontiguousarray(lam.T)
-    grads = np.ascontiguousarray(glam.transpose(2, 1, 0))
-    if single:
-        return BasisEval(values=values[0], gradients=grads[0])
-    return BasisEval(values=values, gradients=grads)
+    ev = evaluate(p, X, kind, gradients=True)
+    ev.raise_first(OUTSIDE, BAND, NONFINITE)
+    values = np.ascontiguousarray(ev.values.T)
+    grads = np.ascontiguousarray(ev.gradients.transpose(2, 1, 0))
+    return BasisEval(values[0], grads[0]) if single else BasisEval(values, grads)
 
 
 def mvc_values(p: Polygon, points) -> np.ndarray:
@@ -236,21 +259,20 @@ def fd_gradient(p: Polygon, points, kind: str = "mvc") -> np.ndarray:
     Every stencil point must stay strictly interior, so points closer to
     the boundary than step + interior tolerance raise StepTooLarge.
     """
-    kernel = _kernel(p, kind)
+    _require_kind(p, kind)
     X, single = _as_points(points)
     h = 1e-6 * p.diameter
-    outside, band, _ = _classify(p, X, inset=h)
-    _reject_outside(outside)
-    if band.any():
-        raise StepTooLarge(
-            f"stencil of half-width {h:g} leaves the interior at point index "
-            f"{int(np.argmax(band))}"
-        )
+    sd = p.signed_boundary_distance(X)
+    _raise_at(OUTSIDE, sd < -p.eps_interior, kind)
+    near = ~(sd > h + p.eps_interior)
+    if near.any():
+        raise StepTooLarge(f"stencil of half-width {h:g} leaves the interior at point "
+                           f"index {int(np.argmax(near))}")
     shifts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     stencil = (shifts[:, None, :] + X[None, :, :]).reshape(-1, 2)
-    vals = kernel(p, point_geometry_batch(p, stencil), gradients=False)[0]
+    vals, _, bad = _interior_planes(p, point_geometry_batch(p, stencil), kind, False)
+    _raise_at(NONFINITE, bad.reshape(4, -1).any(axis=0), kind)
     vals = vals.reshape(p.n, 4, X.shape[0])
-    _require_finite(kind, vals)
     grad = np.stack([vals[:, 0] - vals[:, 1], vals[:, 2] - vals[:, 3]]) / (2.0 * h)
     grad = np.ascontiguousarray(grad.transpose(2, 1, 0))
     return grad[0] if single else grad
@@ -330,10 +352,9 @@ def sup_gradient_scan(
     margin = 1e-4 * p.diameter if margin is None else float(margin)
     if margin <= p.eps_interior:
         raise ValueError("margin must exceed the interior tolerance")
-    kernel = _kernel(p, kind)
+    _require_kind(p, kind)
     pts = _scan_grid(p, resolution, margin)
-    lam, glam = kernel(p, point_geometry_batch(p, pts), gradients=True)
-    _require_finite(kind, lam, glam)
+    _, glam = interior_coordinates(p, point_geometry_batch(p, pts), kind, gradients=True)
     norms = np.hypot(glam[0], glam[1])
     rows = np.argmax(norms, axis=1)
     per_vertex = norms[np.arange(p.n), rows]

@@ -1,5 +1,7 @@
 """Randomized property audit: generator quality, determinism, controls."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,17 @@ def test_sample_interior_rejects_margin_at_inradius():
     square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     with pytest.raises(ValueError, match=r"margin 0\.6 .* inradius 0\.5"):
         sample_interior(square, np.random.default_rng(0), 1, margin=0.6)
+
+
+def test_sample_interior_gives_up_just_below_the_inradius():
+    """A margin 1e-4 below the square's inradius leaves an accepted region
+    of about 4e-8 of the bounding box; the bounded rejection loop raises
+    instead of drawing for hours."""
+    square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"margin 0\.4999 .* inradius 0\.5"):
+        sample_interior(square, np.random.default_rng(0), 1, margin=0.4999)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_small_audit_run_is_clean():

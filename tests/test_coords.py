@@ -6,13 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mvcoords import coords
 from mvcoords.audit import random_convex_polygon, sample_interior
 from mvcoords.coords import (
-    _kernel,
+    BAND,
+    NONFINITE,
+    OK,
+    OUTSIDE,
+    STATUS_NAMES,
     _mvc_weights,
     _normalized,
     _scan_grid,
+    coordinate_values,
+    evaluate,
     fd_gradient,
+    interior_coordinates,
     mvc_gradients,
     mvc_values,
     sup_gradient_scan,
@@ -21,6 +29,7 @@ from mvcoords.coords import (
 )
 from mvcoords.errors import (
     CollinearVertices,
+    EvaluationError,
     OutsidePolygon,
     PointTooCloseToBoundary,
     StepTooLarge,
@@ -122,9 +131,8 @@ def test_kernel_on_shared_geometry_matches_public_functions(
     for p in polygon_suite[:4]:
         pts = sample_interior(p, rng, 200, margin=1e-6)
         g = point_geometry_batch(p, pts)
-        kernel = _kernel(p, kind)
-        lam, _ = kernel(p, g, gradients=False)
-        lam_g, glam = kernel(p, g, gradients=True)
+        lam, _ = interior_coordinates(p, g, kind, gradients=False)
+        lam_g, glam = interior_coordinates(p, g, kind, gradients=True)
         ref = gradients(p, pts)
         assert np.array_equal(lam.T, values(p, pts))
         assert np.array_equal(lam_g.T, ref.values)
@@ -254,6 +262,73 @@ def test_gradients_require_strict_interior():
         mvc_gradients(SQUARE, (0.0, 0.0))
     with pytest.raises(OutsidePolygon):
         mvc_gradients(SQUARE, (1.5, 0.5))
+
+
+POISONED = (0.25, 0.75)
+
+
+@pytest.fixture
+def poisoned_square_weights(monkeypatch):
+    """Mean value weights on SQUARE that come out NaN at the point
+    POISONED, wherever it sits in a batch."""
+    real = coords._mvc_weights
+
+    def poisoned(g):
+        w = real(g)
+        w[:, g.r[0] == np.hypot(*POISONED)] = np.nan  # vertex 0 is the origin
+        return w
+
+    monkeypatch.setattr(coords, "_mvc_weights", poisoned)
+
+
+def test_mixed_batch_statuses_match_single_point_errors(poisoned_square_weights):
+    """One classified evaluation gives each point the status whose error a
+    call on that point alone raises; the batch calls raise outside, then
+    band, then non-finite, each naming its first offending index."""
+    pts = np.array([(0.5, 0.5), (0.3, 0.0), POISONED, (2.0, 2.0),
+                    (0.6, 0.4), (np.nan, 0.5), (0.0, 0.7), (-1.0, 0.5)])
+    ev = evaluate(SQUARE, pts, "mvc", gradients=True)
+    assert ev.status.tolist() == [OK, BAND, NONFINITE, OUTSIDE, OK, NONFINITE, BAND, OUTSIDE]
+    for x, status in zip(pts, ev.status):
+        for call in (mvc_values, mvc_gradients):
+            if status == OK or (status == BAND and call is mvc_values):
+                call(SQUARE, x)
+                continue
+            with pytest.raises(EvaluationError) as exc:
+                call(SQUARE, x)
+            assert type(exc.value).__name__ == STATUS_NAMES[status]
+
+    with pytest.raises(OutsidePolygon, match=r"point index 3\b"):
+        mvc_values(SQUARE, pts)
+    with pytest.raises(OutsidePolygon, match=r"point index 3\b"):
+        mvc_gradients(SQUARE, pts)
+    inside = pts[ev.status != OUTSIDE]
+    with pytest.raises(PointTooCloseToBoundary, match=r"point index 1\b"):
+        mvc_gradients(SQUARE, inside)
+    with pytest.raises(EvaluationError, match=r"point index 2\b") as exc:
+        mvc_values(SQUARE, inside)
+    assert type(exc.value) is EvaluationError
+    with pytest.raises(EvaluationError, match=r"point index 1\b") as exc:
+        mvc_gradients(SQUARE, pts[(ev.status == OK) | (ev.status == NONFINITE)])
+    assert type(exc.value) is EvaluationError
+    with pytest.raises(StepTooLarge, match=r"point index 1\b"):
+        fd_gradient(SQUARE, [(0.5, 0.5), (0.5, 5e-7)])
+    with pytest.raises(OutsidePolygon, match=r"point index 1\b"):
+        fd_gradient(SQUARE, [(0.5, 0.5), (3.0, 0.5)])
+
+
+def test_kind_errors_come_before_point_statuses():
+    """An unknown kind, or Wachspress on a polygon with a flat vertex,
+    raises whatever the points are."""
+    outside = [(5.0, 5.0)]
+    with pytest.raises(ValueError, match="unknown coordinate kind"):
+        evaluate(SQUARE, outside, "bogus", gradients=False)
+    with pytest.raises(ValueError, match="unknown coordinate kind"):
+        coordinate_values(SQUARE, outside, "bogus")
+    with pytest.raises(CollinearVertices):
+        wachspress_values(OCT8, outside)
+    with pytest.raises(CollinearVertices):
+        fd_gradient(OCT8, outside, kind="wachspress")
 
 
 # ------------------------------------------------------------------ gradients
