@@ -187,9 +187,12 @@ def evaluate(p: Polygon, points, kind: str, gradients: bool) -> Evaluation:
     raises before any point is classified."""
     _require_kind(p, kind)
     X = _as_points(points)[0]
-    sd = p.signed_boundary_distance(X)
+    # an infinite point with no NaN lies outside every polygon; a NaN point
+    # fails every comparison below and keeps the default
+    finite = np.isfinite(X).all(axis=1)
+    sd = np.where(np.isnan(X).any(axis=1), np.nan, -np.inf)
+    sd[finite] = p.signed_boundary_distance(X[finite])
     eps = p.eps_interior
-    # a non-finite point fails every comparison and keeps the default
     status = np.select([sd < -eps, sd > eps, sd <= eps], [OUTSIDE, OK, BAND], NONFINITE)
     interior = status == OK
     band = status == BAND

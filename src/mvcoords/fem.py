@@ -252,7 +252,7 @@ def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tup
     n_q = w.size
     phi_t = basis.values.T
     # (8, 2Q) with column 2q + a = d phi_i / dx_a at point q, the layout of
-    # u_exact.gradient reshaped per element, so gradients are one matmul
+    # the jet's gradient reshaped per element, so gradients are one matmul
     grad_t = basis.gradients.transpose(1, 0, 2).reshape(8, 2 * n_q)
     w2 = np.repeat(w, 2)
     l2_sq = 0.0
@@ -260,8 +260,9 @@ def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tup
     for sl, pts in _chunks(origins, rule.points):
         nodal = coeffs[mesh.elements[sl]]
         n_e = nodal.shape[0]
-        du = u_exact.value(pts).reshape(n_e, n_q) - nodal @ phi_t
-        dg = u_exact.gradient(pts).reshape(n_e, 2 * n_q) - nodal @ grad_t
+        uv, ug = u_exact.jet(pts)
+        du = uv.reshape(n_e, n_q) - nodal @ phi_t
+        dg = ug.reshape(n_e, 2 * n_q) - nodal @ grad_t
         l2_sq += float(np.sum(du * du @ w))
         h1_sq += float(np.sum(dg * dg @ w2))
     return float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))

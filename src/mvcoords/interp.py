@@ -165,22 +165,31 @@ class ScalarField:
     """Smooth scalar test field with analytic derivatives.
 
     All callables take an (m, 2) array: ``value`` returns (m,),
-    ``gradient`` (m, 2), ``hessian`` (m, 2, 2). ``source`` is the negative
-    Laplacian, derived from the hessian trace.
+    ``gradient`` (m, 2), ``hessian`` (m, 2, 2) and ``laplacian`` (m,);
+    ``jet`` returns value and gradient together, sharing their terms.
+    ``source`` is ``-laplacian``, so a Poisson load needs no Hessian.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
+    laplacian: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: str = "field"
 
     def source(self, points: np.ndarray) -> np.ndarray:
-        h = self.hessian(np.atleast_2d(np.asarray(points, dtype=float)))
-        return -(h[:, 0, 0] + h[:, 1, 1])
+        return -self.laplacian(_batch(points))
 
 
 def _batch(points) -> np.ndarray:
     return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def _from_jet(jet, hessian, laplacian, name: str) -> ScalarField:
+    """A field whose value and gradient are the two halves of its jet."""
+    return ScalarField(
+        lambda x: jet(x)[0], lambda x: jet(x)[1], hessian, laplacian, jet, name=name
+    )
 
 
 def _quadratic_field(c: float, b, hess, name: str) -> ScalarField:
@@ -188,18 +197,18 @@ def _quadratic_field(c: float, b, hess, name: str) -> ScalarField:
     (b0, b1), ((h00, h01), (_, h11)) = b, hess
     h = np.array(hess, dtype=float)
 
-    def val(x):
+    def jet(x):
         x, y = _batch(x).T
-        return c + b0 * x + b1 * y + (0.5 * h00 * x * x + h01 * x * y + 0.5 * h11 * y * y)
-
-    def grad(x):
-        x, y = _batch(x).T
-        return np.stack([b0 + h00 * x + h01 * y, b1 + h01 * x + h11 * y], axis=1)
+        v = c + b0 * x + b1 * y + (0.5 * h00 * x * x + h01 * x * y + 0.5 * h11 * y * y)
+        return v, np.stack([b0 + h00 * x + h01 * y, b1 + h01 * x + h11 * y], axis=1)
 
     def hessian(x):
         return np.broadcast_to(h, (_batch(x).shape[0], 2, 2)).copy()
 
-    return ScalarField(val, grad, hessian, name=name)
+    def laplacian(x):
+        return np.full(_batch(x).shape[0], h00 + h11)
+
+    return _from_jet(jet, hessian, laplacian, name)
 
 
 def field_linear(a: float = 0.25, bx: float = 1.0, by: float = -2.0) -> ScalarField:
@@ -221,14 +230,12 @@ def field_y2() -> ScalarField:
 def field_sin_exp() -> ScalarField:
     """u = sin(x) e^y; harmonic, so its Poisson source vanishes."""
 
-    def val(x):
-        x = _batch(x)
-        return np.sin(x[:, 0]) * np.exp(x[:, 1])
-
-    def grad(x):
+    def jet(x):
         x = _batch(x)
         ey = np.exp(x[:, 1])
-        return np.stack([np.cos(x[:, 0]) * ey, np.sin(x[:, 0]) * ey], axis=1)
+        v = np.sin(x[:, 0]) * ey
+        # du/dy = u
+        return v, np.stack([np.cos(x[:, 0]) * ey, v], axis=1)
 
     def hess(x):
         x = _batch(x)
@@ -236,7 +243,10 @@ def field_sin_exp() -> ScalarField:
         s, c = np.sin(x[:, 0]) * ey, np.cos(x[:, 0]) * ey
         return np.stack([-s, c, c, s], axis=1).reshape(-1, 2, 2)
 
-    return ScalarField(val, grad, hess, name="sin(x)e^y")
+    def laplacian(x):
+        return np.zeros(_batch(x).shape[0])
+
+    return _from_jet(jet, hess, laplacian, "sin(x)e^y")
 
 
 def standard_fields() -> list[ScalarField]:
@@ -251,8 +261,9 @@ def error_norms(p: Polygon, u: ScalarField, rule: QuadratureRule) -> tuple[float
     basis = mvc_gradients(p, rule.points)
     iu = basis.values @ nodal
     giu = np.einsum("mnd,n->md", basis.gradients, nodal)
-    diff = u.value(rule.points) - iu
-    gdiff = u.gradient(rule.points) - giu
+    uv, ug = u.jet(rule.points)
+    diff = uv - iu
+    gdiff = ug - giu
     l2 = float(np.sqrt(np.dot(rule.weights, diff * diff)))
     h1 = float(np.sqrt(np.dot(rule.weights, np.sum(gdiff * gdiff, axis=1))))
     return l2, h1

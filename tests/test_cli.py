@@ -117,6 +117,12 @@ def test_eval_outside_point_run_continues(polys, capsys):
     assert lines[2].split(",")[2] == "ok"
 
 
+def test_eval_infinite_point_is_outside(polys, capsys):
+    rc, out, err = run_cli(capsys, "eval", "--polygon", polys["square"], "--point", "inf,0.2")
+    assert rc == 0 and err == ""
+    assert out.strip().split("\n")[1].split(",")[:3] == ["inf", "0.2", "OutsidePolygon"]
+
+
 def test_eval_non_finite_point_run_continues(polys, capsys, monkeypatch):
     """An interior point whose values come out non-finite gets the status
     EvaluationError and empty cells; every other row prints as before."""

@@ -317,6 +317,20 @@ def test_mixed_batch_statuses_match_single_point_errors(poisoned_square_weights)
         fd_gradient(SQUARE, [(0.5, 0.5), (3.0, 0.5)])
 
 
+def test_infinite_points_are_outside_and_nan_points_nonfinite():
+    """A point with an infinite coordinate and no NaN is OUTSIDE, with no
+    0 * inf warning on the way; a NaN point stays NONFINITE."""
+    pts = [(np.inf, 0.2), (-np.inf, 0.5), (0.5, np.inf), (np.nan, 0.5), (0.5, 0.5)]
+    for gradients in (False, True):
+        ev = evaluate(SQUARE, pts, "mvc", gradients)
+        assert ev.status.tolist() == [OUTSIDE, OUTSIDE, OUTSIDE, NONFINITE, OK]
+    for x, error in zip(pts[:4], [OutsidePolygon] * 3 + [EvaluationError]):
+        for call in (mvc_values, mvc_gradients):
+            with pytest.raises(EvaluationError) as exc:
+                call(SQUARE, x)
+            assert type(exc.value) is error
+
+
 def test_kind_errors_come_before_point_statuses():
     """An unknown kind, or Wachspress on a polygon with a flat vertex,
     raises whatever the points are."""

@@ -1,5 +1,6 @@
 """Octagonal-element Poisson solver: meshing, assembly, solve, convergence."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -209,6 +210,35 @@ def test_batched_path_matches_per_element_reference():
     l2, h1 = solution_errors(mesh, coeffs, u)
     assert l2 > 1e-6 and h1 > 1e-4
     assert_allclose([l2, h1], [l2_ref, h1_ref], rtol=1e-12)
+
+
+def _refuse(x):
+    raise AssertionError("the FEM hot path evaluated a field callable it should not need")
+
+
+@pytest.mark.parametrize("field", [field_x2, field_sin_exp])
+def test_hot_paths_use_laplacian_and_jet_only(field):
+    """assemble takes its load from the laplacian, never a hessian, and
+    solution_errors makes one jet call per chunk and no value or gradient
+    call; both give bit-identical results to the unguarded field."""
+    mesh = build_mesh(4)
+    u = field()
+    system = assemble(mesh, u)
+    no_hessian = dataclasses.replace(u, hessian=_refuse)
+    assert np.array_equal(assemble(mesh, no_hessian).rhs, system.rhs)
+
+    coeffs = solve(system)
+    jet_calls = []
+
+    def counted_jet(x):
+        jet_calls.append(len(x))
+        return u.jet(x)
+
+    jet_only = dataclasses.replace(u, value=_refuse, gradient=_refuse, jet=counted_jet)
+    assert solution_errors(mesh, coeffs, jet_only) == solution_errors(mesh, coeffs, u)
+    rule, _, origins = fem._tabulate(mesh, *DEFAULT_ERROR_RULE)
+    chunks = [len(pts) for _, pts in fem._chunks(origins, rule.points)]
+    assert jet_calls == chunks
 
 
 def test_ragged_final_chunk(monkeypatch):

@@ -1,5 +1,7 @@
 """Quadrature, the nodal interpolant, and the dimensionless error ratio."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,10 +113,21 @@ def test_basis_integral_self_convergence():
 
 # -------------------------------------------------------------- scalar fields
 
+def _contract_points(rng) -> np.ndarray:
+    """Random points plus signed zeros, tiny and ~1e3 coordinates (y kept
+    below 709 so that e^y stays finite)."""
+    xs = [0.0, -0.0, 1e-200, -1e-200, 1e3, -999.5]
+    ys = [0.0, -0.0, 1e-200, -1e-200, 700.5, -1e3]
+    grid = np.array([(a, b) for a in xs for b in ys])
+    return np.vstack([rng.uniform(-2.0, 2.0, (40, 2)), grid])
+
+
 def test_fields_self_consistent(rng):
-    """FD cross-check of every packaged field: gradient vs value, hessian
-    vs gradient, and source vs hessian trace."""
+    """FD cross-check of every packaged field: gradient vs value and
+    hessian vs gradient; laplacian and source are exactly the hessian
+    trace and its negative."""
     pts = rng.uniform(0.1, 0.9, (50, 2))
+    wide = _contract_points(rng)
     h = 1e-6
     for f in standard_fields() + [field_linear()]:
         g = f.gradient(pts)
@@ -123,13 +136,36 @@ def test_fields_self_consistent(rng):
             assert_allclose(g[:, dim], fd, rtol=1e-6, atol=1e-8)
             fd = (f.gradient(pts + h * e) - f.gradient(pts - h * e)) / (2 * h)
             assert_allclose(f.hessian(pts)[:, :, dim], fd, rtol=1e-6, atol=1e-8)
-        trace = f.hessian(pts)[:, 0, 0] + f.hessian(pts)[:, 1, 1]
-        assert_allclose(f.source(pts), -trace, atol=1e-12)
+        trace = f.hessian(wide)[:, 0, 0] + f.hessian(wide)[:, 1, 1]
+        assert np.array_equal(f.laplacian(wide), trace), f.name
+        assert np.array_equal(f.source(wide), -trace), f.name
 
 
-def test_sin_exp_is_harmonic():
-    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (100, 2))
-    assert np.abs(field_sin_exp().source(pts)).max() < 1e-12
+def test_field_jet_is_value_and_gradient(rng):
+    """Each built-in field's jet gives exactly its value and gradient."""
+    pts = _contract_points(rng)
+    for f in standard_fields() + [field_linear()]:
+        v, g = f.jet(pts)
+        assert v.shape == (len(pts),) and g.shape == (len(pts), 2)
+        assert np.array_equal(v, f.value(pts)), f.name
+        assert np.array_equal(g, f.gradient(pts)), f.name
+
+
+def test_sin_exp_is_harmonic(rng):
+    assert np.all(field_sin_exp().source(_contract_points(rng)) == 0.0)
+
+
+def test_fields_rebuild_with_replaced_callables(rng):
+    """dataclasses.replace of value, gradient and hessian works on every
+    built-in field and keeps its laplacian and jet."""
+    pts = rng.uniform(-1.0, 1.0, (5, 2))
+    for f in standard_fields() + [field_linear()]:
+        g = dataclasses.replace(
+            f, value=lambda x: "v", gradient=lambda x: "g", hessian=lambda x: "h"
+        )
+        assert (g.value(pts), g.gradient(pts), g.hessian(pts)) == ("v", "g", "h")
+        assert g.name == f.name and g.jet is f.jet and g.laplacian is f.laplacian
+        assert np.array_equal(g.source(pts), f.source(pts))
 
 
 def test_sin_exp_hessian_layout():
@@ -241,15 +277,36 @@ def test_rule_pair_agreement():
             assert abs(x - y) / abs(y) < 2e-4
 
 
+def test_error_norms_take_the_field_from_its_jet():
+    """error_norms evaluates the field at the quadrature points through
+    jet alone; value is needed only at the vertices."""
+    rule = fan_quadrature(SQUARE, degree=8, subdivision=1)
+
+    def refuse(x):
+        raise AssertionError("gradient evaluated outside the jet")
+
+    for f in standard_fields():
+        g = dataclasses.replace(f, gradient=refuse)
+        assert error_norms(SQUARE, g, rule) == error_norms(SQUARE, f, rule)
+
+
 def test_degenerate_denominator():
     # a field that misreports a zero hessian while clearly not linear
-    liar = ScalarField(
-        value=lambda x: np.sin(3.0 * np.atleast_2d(x)[:, 0]),
-        gradient=lambda x: np.stack(
+    def value(x):
+        return np.sin(3.0 * np.atleast_2d(x)[:, 0])
+
+    def gradient(x):
+        return np.stack(
             [3.0 * np.cos(3.0 * np.atleast_2d(x)[:, 0]),
              np.zeros(np.atleast_2d(x).shape[0])], axis=1,
-        ),
+        )
+
+    liar = ScalarField(
+        value=value,
+        gradient=gradient,
         hessian=lambda x: np.zeros((np.atleast_2d(x).shape[0], 2, 2)),
+        laplacian=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
+        jet=lambda x: (value(x), gradient(x)),
         name="liar",
     )
     rule = fan_quadrature(SQUARE, degree=8, subdivision=1)
