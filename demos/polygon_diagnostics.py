@@ -17,9 +17,7 @@ from mvcoords import (
     geometric_constants,
     normalize_to_unit_diameter,
 )
-
-GAMMA_STAR = 6.0
-D_STAR = 0.1
+from mvcoords.audit import D_STAR, GAMMA_MAX
 
 shapes = {
     "unit square": Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
@@ -39,7 +37,7 @@ for name, p in shapes.items():
     q = normalize_to_unit_diameter(p)
     gc = geometric_constants(q)
     # d_min is the pairwise minimum: non-adjacent vertices, not just edges
-    g1 = gc.aspect_ratio <= GAMMA_STAR
+    g1 = gc.aspect_ratio <= GAMMA_MAX
     g2 = gc.d_min >= D_STAR
     verdict = "regular" if (g1 and g2) else ("fails gamma" if not g1 else "fails d_min")
     print(

@@ -22,7 +22,6 @@ from .errors import (
     EvaluationError,
     NoConvergence,
     NonConvex,
-    NonTranslateElement,
     OutsidePolygon,
     PointTooCloseToBoundary,
     PolygonError,

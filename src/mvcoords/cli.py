@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .audit import run_property_audit
+from .audit import D_STAR, GAMMA_MAX, run_property_audit
 from .coords import BAND, NONFINITE, OK, STATUS_NAMES, evaluate, sup_gradient_scan
 from .errors import NoConvergence
 from .fem import convergence_study
@@ -201,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("check-polygon", help="quality constants and threshold checks")
     cp.add_argument("--polygon", required=True, help="polygon JSON file")
-    cp.add_argument("--gamma-star", type=float, default=6.0,
-                    help="largest acceptable aspect ratio (default 6)")
-    cp.add_argument("--d-star", type=float, default=0.1,
+    cp.add_argument("--gamma-star", type=float, default=GAMMA_MAX,
+                    help=f"largest acceptable aspect ratio (default {GAMMA_MAX:g})")
+    cp.add_argument("--d-star", type=float, default=D_STAR,
                     help="smallest acceptable distance between two vertices at unit "
-                    "diameter (default 0.1)")
+                    f"diameter (default {D_STAR:g})")
     cp.add_argument("--out", help="output file (default stdout)")
     cp.set_defaults(func=cmd_check_polygon)
 
@@ -238,6 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "-0.5,0.2" as an option name, so glue such a point to its flag
+    for k in range(len(argv) - 2, -1, -1):
+        if argv[k] == "--point" and argv[k + 1].startswith("-") and "," in argv[k + 1]:
+            argv[k:k + 2] = [f"--point={argv[k + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -51,7 +51,3 @@ class DegenerateDenominator(ValueError):
 class NoConvergence(RuntimeError):
     """Iterative solver failed to reach the requested residual."""
 
-
-class NonTranslateElement(ValueError):
-    """A mesh element is not a translate of element 0, which the shared
-    reference-element tables require."""

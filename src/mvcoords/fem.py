@@ -18,12 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coords import mvc_gradients
-from .errors import NoConvergence, NonTranslateElement
+from .errors import NoConvergence
 from .geometry import Polygon
 from .interp import ScalarField, fan_quadrature, field_sin_exp
 
 DEFAULT_ASSEMBLY_RULE = (8, 1)
 DEFAULT_ERROR_RULE = (10, 2)
+CG_TOL = 1e-10
 # quadrature points per chunk of elements in assembly and error norms:
 # a chunk's (m, 2) point and field arrays then stay in cache, and its
 # matmuls against the 8 basis functions stay below the size at which
@@ -107,29 +108,26 @@ class LinearSystem:
     n_nodes: int
 
 
-def _reference_layout(mesh: Mesh) -> tuple[Polygon, np.ndarray]:
-    """Element 0's polygon and the per-element origins, given that every
-    element is a translate of element 0 (to 1e-12 of the element size).
-
-    Raises NonTranslateElement naming the first element that is not.
-    """
+def _shape_groups(mesh: Mesh, degree: int, subdivision: int):
+    """Yield (element indices, origins, rule, basis) per group of elements
+    that are translates of one another (local offsets equal to 1e-12 of the
+    element size), with rule and basis tabulated once, on the group's first
+    element. An element that fails Polygon validation raises that error
+    with its element index prepended."""
     coords = mesh.nodes[mesh.elements]
-    local = coords - coords[:, :1, :]
-    size = float(np.max(np.abs(local[0])))
-    off = np.max(np.abs(local - local[0]), axis=(1, 2)) > 1e-12 * max(size, 1e-300)
-    if np.any(off):
-        e = int(np.argmax(off))
-        raise NonTranslateElement(f"element {e} is not a translate of element 0")
-    return Polygon(local[0]), coords[:, 0, :]
-
-
-def _tabulate(mesh: Mesh, degree: int, subdivision: int):
-    """Reference-element quadrature rule and basis tables shared by all
-    elements, plus the per-element origins."""
-    ref, origins = _reference_layout(mesh)
-    rule = fan_quadrature(ref, degree=degree, subdivision=subdivision)
-    basis = mvc_gradients(ref, rule.points)
-    return rule, basis, origins
+    origins = coords[:, 0, :]
+    local = coords - origins[:, None, :]
+    size = np.max(np.abs(local), axis=(1, 2))
+    key = np.rint(local / (1e-12 * np.maximum(size, 1e-300))[:, None, None])
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    for g, e in enumerate(first):
+        try:
+            ref = Polygon(local[e])
+        except ValueError as exc:
+            raise type(exc)(f"element {e}: {exc}") from None
+        idx = np.flatnonzero(group == g)
+        rule = fan_quadrature(ref, degree=degree, subdivision=subdivision)
+        yield idx, origins[idx], rule, mvc_gradients(ref, rule.points)
 
 
 def _chunks(origins: np.ndarray, points: np.ndarray):
@@ -152,20 +150,20 @@ def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
     data u_exact on the boundary nodes, eliminated by rhs lift; quadrature
     by DEFAULT_ASSEMBLY_RULE."""
     n_nodes = mesh.n_nodes
-    rule, basis, origins = _tabulate(mesh, *DEFAULT_ASSEMBLY_RULE)
-    g = basis.gradients
-    k_loc = np.einsum("q,qia,qja->ij", rule.weights, g, g)
     rows = np.repeat(mesh.elements, 8, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, 8)).ravel()
-    data = np.tile(k_loc.ravel(), mesh.n_elements)
-    # load[e, i] = sum_q f(x_eq) w_q phi_i(q), one matmul per chunk
-    w_phi = rule.weights[:, None] * basis.values
+    data = np.empty((mesh.n_elements, 64))
     load = np.empty(mesh.elements.shape)
-    for sl, pts in _chunks(origins, rule.points):
-        load[sl] = u_exact.source(pts).reshape(-1, rule.weights.size) @ w_phi
+    for idx, origins, rule, basis in _shape_groups(mesh, *DEFAULT_ASSEMBLY_RULE):
+        g = basis.gradients
+        data[idx] = np.einsum("q,qia,qja->ij", rule.weights, g, g).ravel()
+        # load[e, i] = sum_q f(x_eq) w_q phi_i(q), one matmul per chunk
+        w_phi = rule.weights[:, None] * basis.values
+        for sl, pts in _chunks(origins, rule.points):
+            load[idx[sl]] = u_exact.source(pts).reshape(-1, rule.weights.size) @ w_phi
     b_full = np.zeros(n_nodes)
     np.add.at(b_full, mesh.elements.ravel(), load.ravel())
-    k_full = sp.coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    k_full = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
 
     bnd = mesh.boundary_nodes
     free = np.setdiff1d(np.arange(n_nodes), bnd)
@@ -190,9 +188,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients on the reduced system;
-    returns the full nodal coefficient vector (boundary values included).
+def solve(system: LinearSystem, max_iter: int | None = None) -> np.ndarray:
+    """Jacobi-preconditioned CG on the reduced system to relative residual
+    CG_TOL; returns the full nodal coefficients (boundary values included).
 
     Raises NoConvergence when the iteration cap (default 10x the free DOF
     count) is hit or the matrix reveals itself as not positive definite.
@@ -227,7 +225,7 @@ def solve(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if math.sqrt(_dot(r, r)) <= tol * b_norm:
+        if math.sqrt(_dot(r, r)) <= CG_TOL * b_norm:
             converged = True
             break
         z = r / diag
@@ -247,24 +245,24 @@ def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tup
     """Quadrature L2 and H1-seminorm errors of the discrete solution, by
     DEFAULT_ERROR_RULE."""
     coeffs = np.asarray(coeffs, dtype=float)
-    rule, basis, origins = _tabulate(mesh, *DEFAULT_ERROR_RULE)
-    w = rule.weights
-    n_q = w.size
-    phi_t = basis.values.T
-    # (8, 2Q) with column 2q + a = d phi_i / dx_a at point q, the layout of
-    # the jet's gradient reshaped per element, so gradients are one matmul
-    grad_t = basis.gradients.transpose(1, 0, 2).reshape(8, 2 * n_q)
-    w2 = np.repeat(w, 2)
     l2_sq = 0.0
     h1_sq = 0.0
-    for sl, pts in _chunks(origins, rule.points):
-        nodal = coeffs[mesh.elements[sl]]
-        n_e = nodal.shape[0]
-        uv, ug = u_exact.jet(pts)
-        du = uv.reshape(n_e, n_q) - nodal @ phi_t
-        dg = ug.reshape(n_e, 2 * n_q) - nodal @ grad_t
-        l2_sq += float(np.sum(du * du @ w))
-        h1_sq += float(np.sum(dg * dg @ w2))
+    for idx, origins, rule, basis in _shape_groups(mesh, *DEFAULT_ERROR_RULE):
+        w = rule.weights
+        n_q = w.size
+        phi_t = basis.values.T
+        # (8, 2Q) with column 2q + a = d phi_i / dx_a at point q, the layout of
+        # the jet's gradient reshaped per element, so gradients are one matmul
+        grad_t = basis.gradients.transpose(1, 0, 2).reshape(8, 2 * n_q)
+        w2 = np.repeat(w, 2)
+        for sl, pts in _chunks(origins, rule.points):
+            nodal = coeffs[mesh.elements[idx[sl]]]
+            n_e = nodal.shape[0]
+            uv, ug = u_exact.jet(pts)
+            du = uv.reshape(n_e, n_q) - nodal @ phi_t
+            dg = ug.reshape(n_e, 2 * n_q) - nodal @ grad_t
+            l2_sq += float(np.sum(du * du @ w))
+            h1_sq += float(np.sum(dg * dg @ w2))
     return float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))
 
 

@@ -20,6 +20,7 @@ from mvcoords.coords import (
     wachspress_gradients,
     wachspress_values,
 )
+from mvcoords import fem
 from mvcoords.fem import assemble, build_mesh, solution_errors, solve
 from mvcoords.geometry import Polygon, apex_pentagon
 from mvcoords.interp import estimate_ratio, fan_quadrature, field_linear, standard_fields
@@ -233,12 +234,13 @@ def test_criterion_8_interpolation_ratio(verdict):
                    f"{worst_linear:.1e} (<= 1e-12)")
 
 
-def test_criterion_9_patch_test(verdict):
+def test_criterion_9_patch_test(verdict, monkeypatch):
+    monkeypatch.setattr(fem, "CG_TOL", 1e-12)
     u = field_linear(2.0, -3.0, 0.5)
     worst = 0.0
     for n in (2, 4, 8, 16, 32, 64):
         mesh = build_mesh(n)
-        coeffs = solve(assemble(mesh, u), tol=1e-12)
+        coeffs = solve(assemble(mesh, u))
         l2, h1 = solution_errors(mesh, coeffs, u)
         worst = max(worst, l2, h1)
     ok = worst <= 1e-9

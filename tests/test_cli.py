@@ -123,6 +123,24 @@ def test_eval_infinite_point_is_outside(polys, capsys):
     assert out.strip().split("\n")[1].split(",")[:3] == ["inf", "0.2", "OutsidePolygon"]
 
 
+def test_eval_negative_point(polys, capsys):
+    """A point value starting with "-" is read as the point, not an option."""
+    _, joined, _ = run_cli(capsys, "eval", "--polygon", polys["pentagon"], "--point=-0.5,0.2")
+    rc, out, err = run_cli(capsys, "eval", "--polygon", polys["pentagon"], "--point", "-0.5,0.2")
+    assert rc == 0 and err == ""
+    assert out == joined
+    assert out.strip().split("\n")[1].split(",")[:3] == ["-0.5", "0.2", "ok"]
+    rc, out, err = run_cli(capsys, "eval", "--polygon", polys["square"], "--point", "-inf,0.5")
+    assert rc == 0 and err == ""
+    assert out.strip().split("\n")[1].split(",")[:3] == ["-inf", "0.5", "OutsidePolygon"]
+
+
+def test_eval_trailing_point_flag_rejected(polys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--polygon", polys["square"], "--point"])
+    assert exc.value.code == 2
+
+
 def test_eval_non_finite_point_run_continues(polys, capsys, monkeypatch):
     """An interior point whose values come out non-finite gets the status
     EvaluationError and empty cells; every other row prints as before."""

@@ -14,12 +14,11 @@ from numpy.testing import assert_allclose
 
 from mvcoords import fem
 from mvcoords.coords import mvc_gradients, mvc_values
-from mvcoords.errors import NoConvergence, NonTranslateElement
+from mvcoords.errors import NoConvergence, NonConvex
 from mvcoords.fem import (
     DEFAULT_ASSEMBLY_RULE,
     DEFAULT_ERROR_RULE,
     LinearSystem,
-    Mesh,
     assemble,
     build_mesh,
     convergence_study,
@@ -192,10 +191,10 @@ def per_element_reference(mesh, u, coeffs):
     return k, load, np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
-def test_batched_path_matches_per_element_reference():
-    """x^2 has the nonzero source -2, so the load vector is exercised, not
-    only the Dirichlet lift."""
-    mesh = build_mesh(3)
+def assert_matches_per_element_reference(mesh):
+    """Stiffness, rhs and both error norms for x^2 agree with the
+    per-element reference. x^2 has the nonzero source -2, so the load
+    vector is exercised, not only the Dirichlet lift."""
     u = field_x2()
     system = assemble(mesh, u)
     coeffs = solve(system)
@@ -210,6 +209,10 @@ def test_batched_path_matches_per_element_reference():
     l2, h1 = solution_errors(mesh, coeffs, u)
     assert l2 > 1e-6 and h1 > 1e-4
     assert_allclose([l2, h1], [l2_ref, h1_ref], rtol=1e-12)
+
+
+def test_batched_path_matches_per_element_reference():
+    assert_matches_per_element_reference(build_mesh(3))
 
 
 def _refuse(x):
@@ -236,7 +239,7 @@ def test_hot_paths_use_laplacian_and_jet_only(field):
 
     jet_only = dataclasses.replace(u, value=_refuse, gradient=_refuse, jet=counted_jet)
     assert solution_errors(mesh, coeffs, jet_only) == solution_errors(mesh, coeffs, u)
-    rule, _, origins = fem._tabulate(mesh, *DEFAULT_ERROR_RULE)
+    (_, origins, rule, _), = fem._shape_groups(mesh, *DEFAULT_ERROR_RULE)
     chunks = [len(pts) for _, pts in fem._chunks(origins, rule.points)]
     assert jet_calls == chunks
 
@@ -248,7 +251,7 @@ def test_ragged_final_chunk(monkeypatch):
     u = field_x2()
     coeffs = solve(assemble(mesh, u))
     default = (assemble(mesh, u).rhs, solution_errors(mesh, coeffs, u))
-    q_asm, q_err = (fem._tabulate(mesh, *rule)[0].weights.size
+    q_asm, q_err = (next(fem._shape_groups(mesh, *rule))[2].weights.size
                     for rule in (DEFAULT_ASSEMBLY_RULE, DEFAULT_ERROR_RULE))
     assert mesh.n_elements * q_err > fem._CHUNK_POINTS
 
@@ -271,9 +274,9 @@ def test_chunks_cover_elements_within_the_point_budget():
     one element per chunk. The 81 elements leave a ragged final chunk
     under both default rules."""
     mesh = build_mesh(9)
-    mesh_origins = fem._reference_layout(mesh)[1]
+    mesh_origins = mesh.nodes[mesh.elements[:, 0]]
     oversized = np.random.default_rng(3).uniform(0.0, 0.1, (fem._CHUNK_POINTS + 1, 2))
-    cases = [(fem._tabulate(mesh, *rule)[0].points, mesh_origins)
+    cases = [(next(fem._shape_groups(mesh, *rule))[2].points, mesh_origins)
              for rule in (DEFAULT_ASSEMBLY_RULE, DEFAULT_ERROR_RULE)]
     cases.append((oversized, mesh_origins[:3]))
     for points, origins in cases:
@@ -293,22 +296,44 @@ def test_chunks_cover_elements_within_the_point_budget():
         assert np.array_equal(np.concatenate([pts for _, pts in chunks]), ref)
 
 
-def test_non_translate_element_rejected():
-    """Moving one interior node breaks the shared reference element; the
-    error names the first element that holds the node."""
+@pytest.mark.parametrize("n", [1, 3, 7, 128])
+def test_uniform_mesh_is_one_shape_group(n):
+    """Every element of build_mesh(n) is a translate of element 0, so the
+    rule and basis are tabulated once, on element 0, for all elements."""
+    mesh = build_mesh(n)
+    (idx, origins, _, _), = fem._shape_groups(mesh, *DEFAULT_ASSEMBLY_RULE)
+    assert np.array_equal(idx, np.arange(mesh.n_elements))
+    assert np.array_equal(origins, mesh.nodes[mesh.elements[:, 0]])
+
+
+def test_graded_mesh_matches_per_element_reference():
+    """build_mesh(3) with x mapped to x^2/2 + x/2 has one element shape per
+    column; it gets one table per shape and matches the per-element
+    reference."""
     mesh = build_mesh(3)
-    node = 2 * 4 + 2  # corner (2/3, 2/3), not on element 0
-    first = int(np.flatnonzero((mesh.elements == node).any(axis=1))[0])
-    assert first > 0
+    x, y = mesh.nodes.T
+    mesh = dataclasses.replace(mesh, nodes=np.column_stack([x**2 / 2 + x / 2, y]))
+    columns = np.arange(mesh.n_elements) % 3
+    groups = [np.unique(columns[idx]).tolist()
+              for idx, *_ in fem._shape_groups(mesh, *DEFAULT_ASSEMBLY_RULE)]
+    assert sorted(groups) == [[0], [1], [2]]
+    assert_matches_per_element_reference(mesh)
+
+
+def test_non_convex_element_named():
+    """Pushing the midpoint of the edge between elements 4 and 7 down into
+    element 4 gives it a reflex vertex; the error names element 4."""
+    mesh = build_mesh(3)
+    node = mesh.elements[4, 5]  # top mid-side node of the centre element
+    assert node == mesh.elements[7, 1]
     nodes = mesh.nodes.copy()
-    nodes[node] += [0.01, -0.02]
-    moved = Mesh(nodes=nodes, elements=mesh.elements,
-                 boundary_nodes=mesh.boundary_nodes)
-    msg = f"^element {first} is not a translate of element 0$"
-    with pytest.raises(NonTranslateElement, match=msg):
-        assemble(moved, field_x2())
-    with pytest.raises(NonTranslateElement, match=msg):
-        solution_errors(moved, np.zeros(mesh.n_nodes), field_x2())
+    nodes[node, 1] -= 0.05
+    dented = dataclasses.replace(mesh, nodes=nodes)
+    msg = "^element 4: reflex turn at vertex 5$"
+    with pytest.raises(NonConvex, match=msg):
+        assemble(dented, field_x2())
+    with pytest.raises(NonConvex, match=msg):
+        solution_errors(dented, np.zeros(mesh.n_nodes), field_x2())
 
 
 # ---------------------------------------------------------------------- solve
