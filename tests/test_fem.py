@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from mvcoords import fem
 from mvcoords.coords import mvc_gradients, mvc_values
-from mvcoords.errors import NoConvergence, NonConvex
+from mvcoords.errors import NoConvergence, NonConvex, PolygonError
 from mvcoords.fem import (
     DEFAULT_ASSEMBLY_RULE,
     DEFAULT_ERROR_RULE,
@@ -318,6 +318,34 @@ def test_graded_mesh_matches_per_element_reference():
               for idx, *_ in fem._shape_groups(mesh, *DEFAULT_ASSEMBLY_RULE)]
     assert sorted(groups) == [[0], [1], [2]]
     assert_matches_per_element_reference(mesh)
+
+
+def test_similar_elements_of_different_sizes_stay_apart():
+    """build_mesh(2) with x and y both mapped piecewise linearly by 0, 1/2,
+    1 -> 0, 1/3, 1: the diagonal elements are squares of sides 1/3 and 2/3,
+    similar but not translates, so each of the four elements is its own
+    group and the result matches the per-element reference."""
+    mesh = build_mesh(2)
+    graded = np.interp(mesh.nodes, [0.0, 0.5, 1.0], [0.0, 1 / 3, 1.0])
+    mesh = dataclasses.replace(mesh, nodes=graded)
+    groups = [idx.tolist() for idx, *_ in fem._shape_groups(mesh, *DEFAULT_ASSEMBLY_RULE)]
+    assert sorted(groups) == [[0], [1], [2], [3]]
+    assert_matches_per_element_reference(mesh)
+
+
+@pytest.mark.filterwarnings("error")
+def test_clockwise_element_named():
+    """An element row given clockwise is rejected, not silently reversed
+    with its basis functions on the wrong nodes."""
+    mesh = build_mesh(3)
+    elements = mesh.elements.copy()
+    elements[4] = elements[4, ::-1]
+    flipped = dataclasses.replace(mesh, elements=elements)
+    msg = "^element 4: clockwise vertex loop$"
+    with pytest.raises(PolygonError, match=msg):
+        assemble(flipped, field_x2())
+    with pytest.raises(PolygonError, match=msg):
+        solution_errors(flipped, np.zeros(mesh.n_nodes), field_x2())
 
 
 def test_non_convex_element_named():
