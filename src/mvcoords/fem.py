@@ -109,34 +109,29 @@ class LinearSystem:
 
 
 def _shape_groups(mesh: Mesh, degree: int, subdivision: int):
-    """Yield (element indices, origins, rule, basis) per group of elements
-    that are translates of one another, with rule and basis tabulated once,
-    on the group's first element. Local offsets (vertices minus the first
-    vertex) match to 1e-12 of the largest offset in the mesh: one tolerance
-    for all elements, so similar elements of different sizes stay apart.
-
-    A clockwise element raises PolygonError (its basis would land on its
-    nodes in reverse order), and an element that fails Polygon validation
-    raises that error; both messages start with the element index."""
+    """Yield (element indices, origins, rule, basis) per group of translates
+    (local offsets equal to 1e-12 of the mesh's largest, one tolerance so
+    similar elements of different sizes stay apart), tabulated on the
+    group's first element. A clockwise element, or one that fails Polygon
+    validation, raises an error whose message starts with its index."""
     coords = mesh.nodes[mesh.elements]
     origins = coords[:, 0, :]
     local = coords - origins[:, None, :]
     tol = 1e-12 * max(float(np.max(np.abs(local))), 1e-300)
     key = np.rint(local.reshape(mesh.n_elements, -1) / tol)
-    if np.all(key == key[0]):
-        # every element a translate of element 0, as on build_mesh: skip the sort
-        groups = [(np.arange(mesh.n_elements), 0)]
+    if np.all(key == key[0]):  # all translates of element 0, as on build_mesh: no sort
+        first, group = [0], np.zeros(mesh.n_elements)
     else:
         _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        groups = [(np.flatnonzero(group == g), e) for g, e in enumerate(first)]
-    for idx, e in groups:
+    for g, e in enumerate(first):
         x, y = local[e].T
-        if np.dot(x, np.roll(y, -1)) < np.dot(np.roll(x, -1), y):
+        if x @ np.roll(y, -1) < np.roll(x, -1) @ y:
             raise PolygonError(f"element {e}: clockwise vertex loop")
         try:
             ref = Polygon(local[e])
         except ValueError as exc:
             raise type(exc)(f"element {e}: {exc}") from None
+        idx = np.flatnonzero(group == g)
         rule = fan_quadrature(ref, degree=degree, subdivision=subdivision)
         yield idx, origins[idx], rule, mvc_gradients(ref, rule.points)
 
