@@ -77,17 +77,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for i in range(n):
         header += [f"lambda_{i}", f"grad_x_{i}", f"grad_y_{i}"]
     lines = [",".join(header)]
-    # one transpose to point-major rows of Python floats for the whole dump
-    rows = zip(pts.tolist(), ev.status.tolist(), ev.values.T.tolist(),
-               ev.gradients[0].T.tolist(), ev.gradients[1].T.tolist())
-    for (x, y), status, lam, gx, gy in rows:
-        cells = [""] * (3 * n)
-        if status in (OK, BAND):
-            cells[0::3] = [f"{v:.6g}" for v in lam]
-        if status == OK:
-            cells[1::3] = [f"{g:.6g}" for g in gx]
-            cells[2::3] = [f"{g:.6g}" for g in gy]
-        lines.append(f"{x:.6g},{y:.6g},{STATUS_NAMES[status]}," + ",".join(cells))
+    # Cells are formatted a column at a time from the (n, m) planes, so the
+    # dump holds 3n lists instead of four per point: that many live lists
+    # would set off a full garbage collection on a large grid.
+    status = ev.status.tolist()
+    shown = [s in (OK, BAND) for s in status]
+    shown_grad = [s == OK for s in status]
+    columns = []
+    for lam, gx, gy in zip(ev.values.tolist(), *(g.tolist() for g in ev.gradients)):
+        columns += [[f"{v:.6g}" if ok else "" for v, ok in zip(lam, shown)],
+                    [f"{v:.6g}" if ok else "" for v, ok in zip(gx, shown_grad)],
+                    [f"{v:.6g}" if ok else "" for v, ok in zip(gy, shown_grad)]]
+    for x, y, s, cells in zip(pts[:, 0].tolist(), pts[:, 1].tolist(), status, zip(*columns)):
+        lines.append(f"{x:.6g},{y:.6g},{STATUS_NAMES[s]}," + ",".join(cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -3,7 +3,9 @@
 Validation, quality metrics (diameter, inradius, angle extremes, the
 separation radius ``h_star`` and angle threshold ``alpha_star``), and the
 per-point distance/angle data that the barycentric coordinate formulas
-are built from.
+are built from. Everything is direct numpy geometry: the inradius comes
+from the order in which the inward-offset edges vanish, with no linear
+program or numerical search.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateEdge, NonConvex, WrongOrientation
 
@@ -46,7 +46,7 @@ class Polygon:
         if not np.all(np.isfinite(v)):
             raise ValueError("vertices must be finite")
 
-        scale = float(np.max(pdist(v)))
+        scale = float(np.max(_pairwise_distances(v)))
         if scale <= 0.0:
             raise DegenerateEdge("all vertices coincide")
 
@@ -75,6 +75,7 @@ class Polygon:
             v = v[::-1].copy()
         v.setflags(write=False)
         self._vertices = v
+        self._diameter = scale
 
     @property
     def vertices(self) -> np.ndarray:
@@ -101,10 +102,10 @@ class Polygon:
         normal = _rot_ccw(self.edge_vectors) / self.edge_lengths[:, None]
         return normal, np.sum(normal * self._vertices, axis=1)
 
-    @cached_property
+    @property
     def diameter(self) -> float:
         """Largest distance between two polygon points (attained at vertices)."""
-        return float(np.max(pdist(self._vertices)))
+        return self._diameter
 
     @cached_property
     def area(self) -> float:
@@ -134,10 +135,13 @@ class Polygon:
     def inradius(self) -> float:
         """Radius of the largest inscribed circle (Chebyshev radius).
 
-        Solved as the small linear program ``maximize r`` subject to the
-        circle center staying at least ``r`` inside every edge line.
+        Computed directly from the inward offsets of the edge lines (see
+        :func:`_inscribed_circle`), with no linear program. The value is the
+        smallest edge-line distance at a point of the polygon, so it is the
+        radius of a true inscribed circle, equal to the largest one up to
+        roundoff.
         """
-        return _chebyshev_radius(self)
+        return _inscribed_circle(self)[1]
 
     @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -206,27 +210,69 @@ def save_polygon(p: Polygon, path) -> None:
         fh.write(json.dumps({"vertices": p.vertices.tolist()}))
 
 
-def _chebyshev_radius(p: Polygon) -> float:
-    inward, offset = p.edge_lines
-    # maximize r  s.t.  inward_k . (c - v_k) >= r   (variables c_x, c_y, r)
-    a_ub = np.column_stack([-inward, np.ones(p.n)])
-    b_ub = -offset
-    x0, y0, x1, y1 = p.bbox
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(x0, x1), (y0, y1), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"inscribed circle LP failed: {res.message}")
-    return float(res.x[2])
+def _pairwise_distances(v: np.ndarray) -> np.ndarray:
+    """Distances between all vertex pairs i < j of an (n, 2) array."""
+    i, j = np.triu_indices(len(v), k=1)
+    dx, dy = (v[i] - v[j]).T
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
+    """Centre and radius of a largest inscribed circle, in O(n^2).
+
+    Move every edge line inward at unit speed. Edge k vanishes when its
+    line passes through the meeting point of its two current neighbours:
+    at the point c and time t solving n_j . c - t = b_j for those three
+    lines. Removing the edge that vanishes first changes only its
+    neighbours' times, and the common point of the last three lines is the
+    centre. A run of collinear edges is one line.
+
+    Near-ties can leave a nearly parallel pair among the last three lines,
+    whose common point is then ill conditioned (the flat apex pentagon
+    does), so every vanishing point is a candidate centre and the one
+    deepest inside wins: a true inscribed circle, largest up to roundoff.
+    Working at unit diameter about the vertex centroid makes the result
+    similarity invariant.
+    """
+    u = (p.vertices - p.centroid) / p.diameter
+    e = np.roll(u, -1, axis=0) - u
+    normal = _rot_ccw(e) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    offset = np.sum(normal * u, axis=1)
+    # edge k starts a new line unless it turns from edge k - 1 by a sine
+    # of at most EPS_GEOM (normals turn with their edges)
+    before = np.roll(normal, 1, axis=0)
+    sine = before[:, 0] * normal[:, 1] - before[:, 1] * normal[:, 0]
+    line = np.flatnonzero(sine > EPS_GEOM)
+    rows = np.column_stack([normal[line], -np.ones(len(line))])
+    rhs = offset[line]
+    prev = np.roll(np.arange(len(line)), 1)
+    succ = np.roll(np.arange(len(line)), -1)
+
+    def vanish(k: np.ndarray) -> np.ndarray:
+        """(cx, cy, t) where each line k meets its current neighbours."""
+        trio = np.stack([prev[k], k, succ[k]], axis=-1)
+        return np.linalg.solve(rows[trio], rhs[trio][..., None])[..., 0]
+
+    event = vanish(np.arange(len(line)))
+    t = event[:, 2].copy()
+    for _ in range(len(line) - 3):
+        k = int(np.argmin(t))
+        t[k] = np.inf
+        a, c = prev[k], succ[k]
+        succ[a], prev[c] = c, a
+        pair = np.array([a, c])
+        event[pair] = vanish(pair)
+        t[pair] = event[pair, 2]
+    # each row is a vanishing point: of its line when that line went, or
+    # of the final three lines for the three that are left
+    depth = (event[:, :2] @ normal.T - offset).min(axis=1)
+    best = int(np.argmax(depth))
+    return p.centroid + p.diameter * event[best, :2], float(depth[best]) * p.diameter
 
 
 def min_vertex_distance(p: Polygon) -> float:
     """Smallest distance between any two vertices (not only edge ends)."""
-    return float(np.min(pdist(p.vertices)))
+    return float(np.min(_pairwise_distances(p.vertices)))
 
 
 @dataclass(frozen=True)

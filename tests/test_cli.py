@@ -299,6 +299,16 @@ def test_check_kite_fails_vertex_separation(polys, capsys):
     assert "d_min       0.001" in out
 
 
+def test_check_thin_rectangle_gamma(tmp_path, capsys):
+    """The 1 x 1e-7 rectangle has inradius 5e-8 at unit diameter, so gamma
+    is 2e+07, not the 1e+07 of a radius read twice too large."""
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-7], [0.0, 1e-7]]}))
+    rc, out, _ = run_cli(capsys, "check-polygon", "--polygon", str(path))
+    assert rc == 1
+    assert "gamma       2e+07\n" in out
+
+
 def test_check_custom_thresholds(polys, capsys):
     rc, out, _ = run_cli(capsys, "check-polygon", "--polygon", polys["square"],
                          "--gamma-star", "2")
@@ -436,3 +446,43 @@ def test_console_script_runs(polys):
     )
     assert result.returncode == 0
     assert ",ok,0.25," in result.stdout
+
+
+IMPORT_PROBE = """
+import json, sys
+from mvcoords.cli import main
+
+def heavy():
+    return [m for m in ("scipy.spatial", "scipy.optimize") if m in sys.modules]
+
+seen = {"import": heavy()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen[argv[0]] = heavy()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_neither_scipy_spatial_nor_optimize(polys, tmp_path):
+    """Importing the CLI and running every command but ``properties`` loads
+    neither scipy.spatial nor scipy.optimize; the audit's polygon draw
+    loads scipy.spatial alone."""
+    out = str(tmp_path / "out.txt")
+    runs = [
+        ["pentagon-study", "--apex", "1.5", "--grid", "8", "--out", out],
+        ["eval", "--polygon", polys["square"], "--point", "0.5,0.5", "--out", out],
+        ["check-polygon", "--polygon", polys["square"], "--out", out],
+        ["converge", "--levels", "1,2", "--out", out],
+        ["properties", "--polygons", "1", "--samples", "10", "--out", out],
+    ]
+    src = str(Path(mvcoords.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "import": [], "pentagon-study": [], "eval": [], "check-polygon": [],
+        "converge": [], "properties": ["scipy.spatial"],
+    }

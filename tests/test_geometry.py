@@ -1,14 +1,18 @@
 """Polygon representation, quality constants, and per-point geometry."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from mvcoords.errors import DegenerateEdge, NonConvex, WrongOrientation
 from mvcoords.geometry import (
     Polygon,
+    _inscribed_circle,
     apex_pentagon,
     compute_hstar,
     geometric_constants,
@@ -105,16 +109,98 @@ def test_diameter_values():
         (EQUILATERAL, 1.0 / (2.0 * np.sqrt(3.0))),
         (TRI_345, 1.0),  # area 6 over semiperimeter 6
         (HEXAGON, np.sqrt(3.0) / 2.0),
+        (OCT8, 0.5),
+        # rhombus with half-diagonals a = 1/2, b = 5e-11: ab / sqrt(a^2 + b^2)
+        (Polygon([(0.0, 0.0), (0.5, -5e-11), (1.0, 0.0), (0.5, 5e-11)]),
+         0.5 * 5e-11 / np.hypot(0.5, 5e-11)),
+        (Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-11), (0.0, 1e-11)]), 5e-12),
+        (apex_pentagon(1.0 + 1e-9), 1.0),
     ],
 )
 def test_inradius_values(poly, expected):
-    assert poly.inradius == pytest.approx(expected, rel=1e-9)
+    assert poly.inradius == pytest.approx(expected, rel=1e-12)
 
 
 def test_pentagon_inradius_is_square_half_width():
     # the inscribed circle of the apex pentagon is the square part's circle
     assert apex_pentagon(1.5).inradius == pytest.approx(1.0, rel=1e-9)
     assert apex_pentagon(1.05).inradius == pytest.approx(1.0, rel=1e-9)
+
+
+def test_inradius_of_a_square_at_every_scale():
+    """Half the side to roundoff. A linear program with absolute
+    tolerances near 1e-7 reads twice that below about 1e-7."""
+    for s in (1e-9, 1e-7, 1.0, 1e9):
+        p = Polygon(s * np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
+        assert p.inradius == pytest.approx(s / 2.0, rel=1e-15)
+
+
+def regular_polygon(n: int) -> Polygon:
+    a = 2.0 * np.pi * np.arange(n) / n
+    return Polygon(np.column_stack([np.cos(a), np.sin(a)]))
+
+
+@pytest.mark.parametrize("n", [5, 8, 100, 1000])
+def test_inradius_of_regular_polygons(n):
+    p = regular_polygon(n)
+    t0 = time.perf_counter()
+    r = p.inradius
+    assert time.perf_counter() - t0 < 0.5
+    assert r == pytest.approx(np.cos(np.pi / n), rel=1e-12)
+
+
+def edge_line_depth(p: Polygon, x) -> float:
+    """Smallest signed distance from x to the edge lines."""
+    normal, offset = p.edge_lines
+    return float(np.min(normal @ np.asarray(x) - offset))
+
+
+def test_inradius_is_the_edge_line_distance_at_its_centre(polygon_suite):
+    for p in [SQUARE, OCT8, TRI_345, HEXAGON, apex_pentagon(1.001), *polygon_suite]:
+        centre, r = _inscribed_circle(p)
+        assert r == p.inradius
+        assert edge_line_depth(p, centre) == pytest.approx(r, rel=1e-12)
+
+
+def rotation(theta: float) -> np.ndarray:
+    """Matrix that turns row vectors by theta when applied on the right."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def test_inradius_is_similarity_invariant(polygon_suite):
+    rng = np.random.default_rng(7)
+    for p in [TRI_345, HEXAGON, apex_pentagon(1.01), *polygon_suite]:
+        for s in (1e-9, 1e-4, 1.0, 1e4, 1e9):
+            shift = rng.uniform(-3.0, 3.0, 2)
+            image = s * (p.vertices @ rotation(rng.uniform(0.0, 2.0 * np.pi)) + shift)
+            assert Polygon(image).inradius == pytest.approx(s * p.inradius, rel=1e-12)
+
+
+def linprog_inradius(p: Polygon) -> float:
+    """Test oracle: the largest inscribed circle as a linear program at
+    unit diameter, read as the edge-line distance at the program's centre."""
+    q = Polygon((p.vertices - p.centroid) / p.diameter)
+    normal, offset = q.edge_lines
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.column_stack([-normal, np.ones(q.n)]),
+                  b_ub=-offset, bounds=[(None, None), (None, None), (0.0, None)],
+                  method="highs")
+    assert res.success
+    return edge_line_depth(q, res.x[:2]) * p.diameter
+
+
+def test_inradius_matches_a_linear_program():
+    """Random hulls stretched to aspect ratios up to 1e5."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 200:
+        pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * 10.0 ** rng.uniform(-4.5, 0.0, 2)
+        pts = pts @ rotation(rng.uniform(0.0, 2.0 * np.pi))
+        p = Polygon(pts[ConvexHull(pts).vertices])
+        if p.diameter / p.inradius >= 1e5:
+            continue
+        assert p.inradius == pytest.approx(linprog_inradius(p), rel=1e-12)
+        checked += 1
 
 
 def test_interior_angles_square():
