@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import _mvc_weights, fd_gradient, interior_coordinates
+from .coords import KINDS, _mvc_weights, fd_gradient, interior_coordinates
 from .errors import PolygonError
 from .geometry import (
     GeometricConstants,
@@ -27,7 +27,6 @@ GAMMA_MAX = 6.0
 D_STAR = 0.1
 MAX_DRAWS = 2000
 MAX_SAMPLE_ROUNDS = 1000  # candidate rounds per sample_interior call
-KINDS = ("mvc", "wachspress")
 FD_SAMPLES = 10  # points per kind for the analytic vs FD gradient check
 
 # Slacks for the audited inequalities; every check has zero violations at

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .audit import D_STAR, GAMMA_MAX, run_property_audit
-from .coords import BAND, NONFINITE, OK, STATUS_NAMES, evaluate, sup_gradient_scan
+from .coords import BAND, KINDS, NONFINITE, OK, STATUS_NAMES, evaluate, sup_gradient_scan
 from .errors import NoConvergence
 from .fem import convergence_study
 from .geometry import (
@@ -138,7 +138,7 @@ def cmd_pentagon_study(args: argparse.Namespace) -> int:
     surface = ["apex,kind,x,y,lambda,grad_x,grad_y"] if args.surface else None
     for a in apexes:
         p = apex_pentagon(a)
-        for kind in ("mvc", "wachspress"):
+        for kind in KINDS:
             scan = sup_gradient_scan(p, kind=kind, resolution=args.grid, margin=args.margin)
             rows.append(f"{a:g},{kind},{scan.overall_max:.6g}")
             if surface is None:
@@ -197,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evaluation point, repeatable")
     ev.add_argument("--grid", type=int, default=0, metavar="N",
                     help="add an N-by-N bounding-box lattice of points")
-    ev.add_argument("--kind", choices=("mvc", "wachspress"), default="mvc")
-    ev.add_argument("--out", help="output file (default stdout)")
+    ev.add_argument("--kind", choices=KINDS, default="mvc")
     ev.set_defaults(func=cmd_eval)
 
     cp = sub.add_parser("check-polygon", help="quality constants and threshold checks")
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--d-star", type=float, default=D_STAR,
                     help="smallest acceptable distance between two vertices at unit "
                     f"diameter (default {D_STAR:g})")
-    cp.add_argument("--out", help="output file (default stdout)")
     cp.set_defaults(func=cmd_check_polygon)
 
     ps = sub.add_parser("pentagon-study", help="sup-gradient sweep over apex heights")
@@ -219,14 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="boundary standoff (default 1e-4 of the diameter)")
     ps.add_argument("--surface", metavar="PATH",
                     help="also dump the apex basis surface to this CSV")
-    ps.add_argument("--out", help="output file (default stdout)")
     ps.set_defaults(func=cmd_pentagon_study)
 
     cv = sub.add_parser("converge", help="Poisson convergence study table")
     cv.add_argument("--levels", default="2,4,8,16,32,64", metavar="N1,N2,...",
                     help="mesh sizes, strictly increasing, within 1..128")
     cv.add_argument("--format", choices=("csv", "md", "json"), default="csv")
-    cv.add_argument("--out", help="output file (default stdout)")
     cv.set_defaults(func=cmd_converge)
 
     pr = sub.add_parser("properties", help="randomized invariant audit")
@@ -234,8 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--polygons", type=int, default=100, metavar="COUNT")
     pr.add_argument("--samples", type=int, default=10_000, metavar="COUNT",
                     help="interior sample points per polygon")
-    pr.add_argument("--out", help="output file (default stdout)")
     pr.set_defaults(func=cmd_properties)
+
+    for parser in sub.choices.values():
+        parser.add_argument("--out", help="output file (default stdout)")
     return ap
 
 
@@ -248,10 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NoConvergence as exc:
-        print(f"error: NoConvergence: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NoConvergence) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

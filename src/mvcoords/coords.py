@@ -124,6 +124,7 @@ def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
 
 
 _INTERIOR = {"mvc": _mvc_interior, "wachspress": _wachspress_interior}
+KINDS = tuple(_INTERIOR)
 
 
 def _require_kind(p: Polygon, kind: str) -> None:
@@ -187,11 +188,8 @@ def evaluate(p: Polygon, points, kind: str, gradients: bool) -> Evaluation:
     raises before any point is classified."""
     _require_kind(p, kind)
     X = _as_points(points)[0]
-    # an infinite point with no NaN lies outside every polygon; a NaN point
-    # fails every comparison below and keeps the default
-    finite = np.isfinite(X).all(axis=1)
-    sd = np.where(np.isnan(X).any(axis=1), np.nan, -np.inf)
-    sd[finite] = p.signed_boundary_distance(X[finite])
+    # a NaN point's distance fails every comparison and keeps the default
+    sd = p.signed_boundary_distance(X)
     eps = p.eps_interior
     status = np.select([sd < -eps, sd > eps, sd <= eps], [OUTSIDE, OK, BAND], NONFINITE)
     interior = status == OK
@@ -267,6 +265,7 @@ def fd_gradient(p: Polygon, points, kind: str = "mvc") -> np.ndarray:
     h = 1e-6 * p.diameter
     sd = p.signed_boundary_distance(X)
     _raise_at(OUTSIDE, sd < -p.eps_interior, kind)
+    _raise_at(NONFINITE, np.isnan(sd), kind)
     near = ~(sd > h + p.eps_interior)
     if near.any():
         raise StepTooLarge(f"stencil of half-width {h:g} leaves the interior at point "
@@ -353,8 +352,8 @@ def sup_gradient_scan(
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
     margin = 1e-4 * p.diameter if margin is None else float(margin)
-    if margin <= p.eps_interior:
-        raise ValueError("margin must exceed the interior tolerance")
+    if not p.eps_interior < margin < np.inf:
+        raise ValueError("margin must be finite and exceed the interior tolerance")
     _require_kind(p, kind)
     pts = _scan_grid(p, resolution, margin)
     _, glam = interior_coordinates(p, point_geometry_batch(p, pts), kind, gradients=True)

@@ -54,46 +54,28 @@ def build_mesh(n: int) -> Mesh:
     8-node loop corner, mid-side, corner, ... in CCW order.
 
     Node layout: (n+1)² corners, then n(n+1) horizontal-edge midpoints,
-    then (n+1)n vertical-edge midpoints.
+    then (n+1)n vertical-edge midpoints, each block numbered row by row
+    from the bottom left.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    corners = np.column_stack([ii.ravel(order="F") / n, jj.ravel(order="F") / n])
-
-    def corner(i, j):
-        return j * (n + 1) + i
-
-    n_c = (n + 1) * (n + 1)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n + 1), indexing="ij")
-    hmid = np.column_stack([(ii.ravel(order="F") + 0.5) / n, jj.ravel(order="F") / n])
-
-    def hm(i, j):
-        return n_c + j * n + i
-
-    n_h = n * (n + 1)
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n), indexing="ij")
-    vmid = np.column_stack([ii.ravel(order="F") / n, (jj.ravel(order="F") + 0.5) / n])
-
-    def vm(i, j):
-        return n_c + n_h + j * (n + 1) + i
-
-    nodes = np.concatenate([corners, hmid, vmid])
-    # element k = j * n + i is the cell [i, i+1] x [j, j+1] (scaled by 1/n)
-    jj, ii = np.divmod(np.arange(n * n), n)
-    elems = np.stack([
-        corner(ii, jj), hm(ii, jj), corner(ii + 1, jj), vm(ii + 1, jj),
-        corner(ii + 1, jj + 1), hm(ii, jj + 1), corner(ii, jj + 1), vm(ii, jj),
-    ], axis=1)
-    on_edge = (
-        (nodes[:, 0] == 0.0) | (nodes[:, 1] == 0.0)
-        | (np.abs(nodes[:, 0] - 1.0) < 1e-15) | (np.abs(nodes[:, 1] - 1.0) < 1e-15)
-    )
-    return Mesh(
-        nodes=nodes,
-        elements=elems,
-        boundary_nodes=np.flatnonzero(on_edge),
-    )
+    # half-grid index table: entry [b, a] numbers the node at (a, b) / 2n;
+    # cell centres (a and b odd) keep -1
+    table = np.full((2 * n + 1, 2 * n + 1), -1)
+    n_c, n_h = (n + 1) ** 2, n * (n + 1)
+    table[0::2, 0::2] = np.arange(n_c).reshape(n + 1, n + 1)
+    table[0::2, 1::2] = n_c + np.arange(n_h).reshape(n + 1, n)
+    table[1::2, 0::2] = n_c + n_h + np.arange(n_h).reshape(n, n + 1)
+    b, a = np.nonzero(table >= 0)
+    nodes = np.empty((n_c + 2 * n_h, 2))
+    nodes[table[b, a]] = np.column_stack([a, b]) / (2 * n)
+    # element j * n + i: the ring around cell centre (2i+1, 2j+1), CCW
+    # from its lower-left corner
+    da, db = np.array([[-1, 0, 1, 1, 1, 0, -1, -1], [-1, -1, -1, 0, 1, 1, 1, 0]])
+    c = 2 * np.arange(n) + 1
+    elements = table[c[:, None, None] + db, c[:, None] + da].reshape(n * n, 8)
+    rim = np.concatenate([table[0], table[-1], table[:, 0], table[:, -1]])
+    return Mesh(nodes=nodes, elements=elements, boundary_nodes=np.unique(rim))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEdge, NonConvex, WrongOrientation
+from .errors import DegenerateEdge, NonConvex, PolygonError, WrongOrientation
 
 # Relative tolerances: geometry predicates scale them by the polygon size.
 EPS_GEOM = 1e-12
@@ -160,9 +160,16 @@ class Polygon:
 
         Computed as the minimum signed distance to the edge lines, which for
         interior points of a convex polygon never exceeds the true boundary
-        distance (so it is a safe interiority margin).
+        distance (so it is a safe interiority margin). A point with an
+        infinite coordinate and no NaN lies outside every polygon and gets
+        -inf; a NaN point gets NaN.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
+        if not np.isfinite(X).all():
+            finite = np.isfinite(X).all(axis=1)
+            sd = np.where(np.isnan(X).any(axis=1), np.nan, -np.inf)
+            sd[finite] = self.signed_boundary_distance(X[finite])
+            return sd
         v = self._vertices
         e = self.edge_vectors
         # (n, m) planes of x - v_k, one row per edge
@@ -197,6 +204,8 @@ def polygon_from_json(text: str) -> Polygon:
     warning.
     """
     data = json.loads(text)
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise PolygonError('polygon JSON must be an object with a "vertices" key')
     return Polygon(data["vertices"])
 
 

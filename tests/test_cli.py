@@ -309,6 +309,17 @@ def test_check_thin_rectangle_gamma(tmp_path, capsys):
     assert "gamma       2e+07\n" in out
 
 
+@pytest.mark.parametrize("doc", [{"verts": [[0, 0], [1, 0], [0, 1]]}, [[0, 0], [1, 0], [0, 1]]])
+def test_check_polygon_json_without_vertices_key(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "check-polygon", "--polygon", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: PolygonError: ") and '"vertices"' in err
+    assert "Traceback" not in err
+
+
 def test_check_custom_thresholds(polys, capsys):
     rc, out, _ = run_cli(capsys, "check-polygon", "--polygon", polys["square"],
                          "--gamma-star", "2")

@@ -1,5 +1,7 @@
 """Coordinate values, analytic gradients, and the sup-gradient scanner."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -331,6 +333,21 @@ def test_infinite_points_are_outside_and_nan_points_nonfinite():
             assert type(exc.value) is error
 
 
+@pytest.mark.parametrize("call", [
+    mvc_values, mvc_gradients, wachspress_values, wachspress_gradients, fd_gradient,
+])
+def test_non_finite_points_raise_typed_errors_without_warnings(call):
+    """An infinite point raises OutsidePolygon and a NaN point a plain
+    EvaluationError, from every point call including the finite-difference
+    one, and neither sets off a floating-point warning."""
+    for x, error in [((np.inf, 0.2), OutsidePolygon), ((np.nan, 0.2), EvaluationError)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as exc:
+                call(SQUARE, x)
+        assert type(exc.value) is error
+
+
 def test_kind_errors_come_before_point_statuses():
     """An unknown kind, or Wachspress on a polygon with a flat vertex,
     raises whatever the points are."""
@@ -574,8 +591,9 @@ def test_scan_is_deterministic():
 def test_scan_validation():
     with pytest.raises(ValueError):
         sup_gradient_scan(SQUARE, "mvc", resolution=4)
-    with pytest.raises(ValueError):
-        sup_gradient_scan(SQUARE, "mvc", margin=1e-12)
+    for margin in (1e-12, np.inf, np.nan):
+        with pytest.raises(ValueError, match="margin"):
+            sup_gradient_scan(SQUARE, "mvc", margin=margin)
     with pytest.raises(ValueError):
         sup_gradient_scan(SQUARE, "sibson")
 

@@ -83,6 +83,26 @@ def test_node_count_formula(n):
     assert mesh.n_elements == n * n
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_node_numbering(n):
+    """Corner (i, j) is node j(n+1) + i at (i, j)/n, the midpoint of the
+    horizontal edge from it is (n+1)² + jn + i at (i+½, j)/n, and the
+    midpoint of the vertical edge from it is (n+1)² + n(n+1) + j(n+1) + i
+    at (i, j+½)/n, all to the last bit; the boundary list is sorted."""
+    mesh = build_mesh(n)
+    n_c, n_h = (n + 1) ** 2, n * (n + 1)
+    for j in range(n + 1):
+        for i in range(n + 1):
+            assert_allclose(mesh.nodes[j * (n + 1) + i], [i / n, j / n], rtol=0, atol=0)
+            if i < n:
+                assert_allclose(mesh.nodes[n_c + j * n + i], [(i + 0.5) / n, j / n],
+                                rtol=0, atol=0)
+            if j < n:
+                assert_allclose(mesh.nodes[n_c + n_h + j * (n + 1) + i], [i / n, (j + 0.5) / n],
+                                rtol=0, atol=0)
+    assert np.all(np.diff(mesh.boundary_nodes) > 0)
+
+
 def test_invalid_size_rejected():
     with pytest.raises(ValueError):
         build_mesh(0)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from mvcoords.errors import DegenerateEdge, NonConvex, WrongOrientation
+from mvcoords.errors import DegenerateEdge, NonConvex, PolygonError, WrongOrientation
 from mvcoords.geometry import (
     Polygon,
     _inscribed_circle,
@@ -243,6 +243,18 @@ def test_min_vertex_distance():
     assert min_vertex_distance(apex_pentagon(1.05)) == pytest.approx(
         np.sqrt(1.0025), rel=1e-12
     )
+
+
+def test_signed_boundary_distance_of_non_finite_points():
+    """-inf for a point with an infinite coordinate and no NaN, NaN for a
+    NaN point, with no warning; finite points read the same as alone."""
+    pts = np.array([(np.inf, 0.2), (0.5, -np.inf), (np.inf, np.inf), (np.nan, 0.2),
+                    (np.inf, np.nan), (0.25, 0.5), (2.0, 0.5)])
+    sd = SQUARE.signed_boundary_distance(pts)
+    assert sd[:3].tolist() == [-np.inf] * 3
+    assert np.isnan(sd[3:5]).all()
+    assert np.array_equal(sd[5:], SQUARE.signed_boundary_distance(pts[5:]))
+    assert sd[5:].tolist() == [0.25, -1.0]
 
 
 # ---------------------------------------------------------- separation radius
@@ -503,6 +515,12 @@ def test_json_accepts_clockwise():
     with pytest.warns(WrongOrientation):
         q = polygon_from_json(s)
     assert q.area > 0
+
+
+@pytest.mark.parametrize("text", ['{"verts": [[0, 0], [1, 0], [0, 1]]}', "[[0, 0], [1, 0], [0, 1]]"])
+def test_json_without_vertices_key_is_a_polygon_error(text):
+    with pytest.raises(PolygonError, match='"vertices"'):
+        polygon_from_json(text)
 
 
 def test_file_round_trip(tmp_path):
