@@ -128,16 +128,13 @@ def cmd_pentagon_study(args: argparse.Namespace) -> int:
     apex vertex's basis values and gradients on the interior part of a
     bounding-box lattice, for plotting.
     """
-    apexes = [float(s) for s in args.apex.split(",")]
-    if any(a <= 1.0 for a in apexes):
-        raise ValueError("apex heights must exceed 1")
+    pentagons = [(a, apex_pentagon(a)) for a in map(float, args.apex.split(","))]
     if args.grid < 8:
         raise ValueError("--grid must be at least 8")
 
     rows = ["apex,kind,max_grad_norm"]
     surface = ["apex,kind,x,y,lambda,grad_x,grad_y"] if args.surface else None
-    for a in apexes:
-        p = apex_pentagon(a)
+    for a, p in pentagons:
         for kind in KINDS:
             scan = sup_gradient_scan(p, kind=kind, resolution=args.grid, margin=args.margin)
             rows.append(f"{a:g},{kind},{scan.overall_max:.6g}")

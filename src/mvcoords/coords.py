@@ -355,8 +355,11 @@ def sup_gradient_scan(
     if not p.eps_interior < margin < np.inf:
         raise ValueError("margin must be finite and exceed the interior tolerance")
     _require_kind(p, kind)
-    pts = _scan_grid(p, resolution, margin)
-    _, glam = interior_coordinates(p, point_geometry_batch(p, pts), kind, gradients=True)
+    # scan the copy centred on the vertex centroid: the scanline cuts take
+    # differences of edge-line offsets, which lose digits far from the origin
+    q = Polygon(p.vertices - p.centroid)
+    pts = _scan_grid(q, resolution, margin)
+    _, glam = interior_coordinates(q, point_geometry_batch(q, pts), kind, gradients=True)
     norms = np.hypot(glam[0], glam[1])
     rows = np.argmax(norms, axis=1)
     per_vertex = norms[np.arange(p.n), rows]
@@ -367,7 +370,7 @@ def sup_gradient_scan(
         margin=margin,
         n_points=int(pts.shape[0]),
         per_vertex_max=per_vertex,
-        argmax_points=pts[rows],
+        argmax_points=pts[rows] + p.centroid,
         overall_max=float(per_vertex[k]),
         overall_vertex=k,
     )

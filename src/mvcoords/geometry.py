@@ -40,11 +40,14 @@ class Polygon:
     """
 
     def __init__(self, vertices) -> None:
-        v = np.asarray(vertices, dtype=float)
+        try:
+            v = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise PolygonError(f"vertices are not an array of numbers: {exc}") from None
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("need an (n, 2) array of at least 3 vertices")
+            raise PolygonError("need an (n, 2) array of at least 3 vertices")
         if not np.all(np.isfinite(v)):
-            raise ValueError("vertices must be finite")
+            raise PolygonError("vertices must be finite")
 
         scale = float(np.max(_pairwise_distances(v)))
         if scale <= 0.0:
@@ -57,7 +60,7 @@ class Polygon:
                 f"edge {int(np.argmin(lengths))} shorter than {EPS_GEOM:g} * diameter"
             )
 
-        area2 = float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        area2 = _twice_area(v)
         if abs(area2) <= EPS_GEOM * scale * scale:
             raise NonConvex("polygon has (numerically) zero area")
 
@@ -109,8 +112,7 @@ class Polygon:
 
     @cached_property
     def area(self) -> float:
-        v = self._vertices
-        return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+        return 0.5 * _twice_area(self._vertices)
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -217,6 +219,13 @@ def load_polygon(path) -> Polygon:
 def save_polygon(p: Polygon, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"vertices": p.vertices.tolist()}))
+
+
+def _twice_area(v: np.ndarray) -> float:
+    """Twice the signed area of an (n, 2) vertex loop: the shoelace sum
+    taken about vertex 0, so a translate far from the origin keeps it."""
+    d = v[1:] - v[0]
+    return float(np.sum(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]))
 
 
 def _pairwise_distances(v: np.ndarray) -> np.ndarray:
@@ -359,8 +368,8 @@ def apex_pentagon(height: float) -> Polygon:
     two short edges shrink, which is what makes the family a stress test for
     coordinate gradients.
     """
-    if height <= 1.0:
-        raise ValueError("apex height must exceed 1")
+    if not 1.0 < height < np.inf:
+        raise ValueError("apex height must be finite and exceed 1")
     return Polygon([(-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, height)])
 
 

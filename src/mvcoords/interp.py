@@ -17,81 +17,32 @@ from .coords import mvc_gradients
 from .errors import DegenerateDenominator, UnsupportedDegree
 from .geometry import Polygon
 
-# Symmetric Gauss rules on the triangle (Dunavant). Barycentric abscissae
-# with weights normalized to sum to one; multiply by triangle area on use.
-_RULE_8 = (
-    np.array([
-        [0.333333333333333, 0.333333333333333, 0.333333333333333],
-        [0.081414823414554, 0.459292588292723, 0.459292588292723],
-        [0.459292588292723, 0.081414823414554, 0.459292588292723],
-        [0.459292588292723, 0.459292588292723, 0.081414823414554],
-        [0.658861384496480, 0.170569307751760, 0.170569307751760],
-        [0.170569307751760, 0.658861384496480, 0.170569307751760],
-        [0.170569307751760, 0.170569307751760, 0.658861384496480],
-        [0.898905543365938, 0.050547228317031, 0.050547228317031],
-        [0.050547228317031, 0.898905543365938, 0.050547228317031],
-        [0.050547228317031, 0.050547228317031, 0.898905543365938],
-        [0.008394777409958, 0.263112829634638, 0.728492392955404],
-        [0.008394777409958, 0.728492392955404, 0.263112829634638],
-        [0.263112829634638, 0.008394777409958, 0.728492392955404],
-        [0.263112829634638, 0.728492392955404, 0.008394777409958],
-        [0.728492392955404, 0.263112829634638, 0.008394777409958],
-        [0.728492392955404, 0.008394777409958, 0.263112829634638],
-    ]),
-    np.array([
-        0.144315607677787,
-        0.095091634267285, 0.095091634267285, 0.095091634267285,
-        0.103217370534718, 0.103217370534718, 0.103217370534718,
-        0.032458497623198, 0.032458497623198, 0.032458497623198,
-        0.027230314174435, 0.027230314174435, 0.027230314174435,
-        0.027230314174435, 0.027230314174435, 0.027230314174435,
-    ]),
-)
+# Dunavant's symmetric Gauss rules on the triangle (IJNME 21, 1985) as orbit
+# generators: a barycentric point and the weight that all its distinct
+# permutations share. Weights sum to one; multiply by triangle area on use.
+_ORBITS = {
+    8: (
+        ((0.333333333333333, 0.333333333333333, 0.333333333333333), 0.144315607677787),
+        ((0.081414823414554, 0.459292588292723, 0.459292588292723), 0.095091634267285),
+        ((0.658861384496480, 0.170569307751760, 0.170569307751760), 0.103217370534718),
+        ((0.898905543365938, 0.050547228317031, 0.050547228317031), 0.032458497623198),
+        ((0.008394777409958, 0.263112829634638, 0.728492392955404), 0.027230314174435),
+    ),
+    10: (
+        ((0.333333333333333, 0.333333333333333, 0.333333333333333), 0.090817990382754),
+        ((0.028844733232685, 0.485577633383657, 0.485577633383657), 0.036725957756467),
+        ((0.781036849029926, 0.109481575485037, 0.109481575485037), 0.045321059435528),
+        ((0.141707219414880, 0.307939838764121, 0.550352941820999), 0.072757916845420),
+        ((0.025003534762686, 0.246672560639903, 0.728323904597411), 0.028327242531057),
+        ((0.009540815400299, 0.066803251012200, 0.923655933587500), 0.009421666963733),
+    ),
+}
 
-_RULE_10 = (
-    np.array([
-        [0.333333333333333, 0.333333333333333, 0.333333333333333],
-        [0.028844733232685, 0.485577633383657, 0.485577633383657],
-        [0.485577633383657, 0.028844733232685, 0.485577633383657],
-        [0.485577633383657, 0.485577633383657, 0.028844733232685],
-        [0.781036849029926, 0.109481575485037, 0.109481575485037],
-        [0.109481575485037, 0.781036849029926, 0.109481575485037],
-        [0.109481575485037, 0.109481575485037, 0.781036849029926],
-        [0.141707219414880, 0.307939838764121, 0.550352941820999],
-        [0.141707219414880, 0.550352941820999, 0.307939838764121],
-        [0.307939838764121, 0.141707219414880, 0.550352941820999],
-        [0.307939838764121, 0.550352941820999, 0.141707219414880],
-        [0.550352941820999, 0.141707219414880, 0.307939838764121],
-        [0.550352941820999, 0.307939838764121, 0.141707219414880],
-        [0.025003534762686, 0.246672560639903, 0.728323904597411],
-        [0.025003534762686, 0.728323904597411, 0.246672560639903],
-        [0.246672560639903, 0.025003534762686, 0.728323904597411],
-        [0.246672560639903, 0.728323904597411, 0.025003534762686],
-        [0.728323904597411, 0.025003534762686, 0.246672560639903],
-        [0.728323904597411, 0.246672560639903, 0.025003534762686],
-        [0.009540815400299, 0.066803251012200, 0.923655933587500],
-        [0.009540815400299, 0.923655933587500, 0.066803251012200],
-        [0.066803251012200, 0.009540815400299, 0.923655933587500],
-        [0.066803251012200, 0.923655933587500, 0.009540815400299],
-        [0.923655933587500, 0.009540815400299, 0.066803251012200],
-        [0.923655933587500, 0.066803251012200, 0.009540815400299],
-    ]),
-    np.array([
-        0.090817990382754,
-        0.036725957756467, 0.036725957756467, 0.036725957756467,
-        0.045321059435528, 0.045321059435528, 0.045321059435528,
-        0.072757916845420, 0.072757916845420, 0.072757916845420,
-        0.072757916845420, 0.072757916845420, 0.072757916845420,
-        0.028327242531057, 0.028327242531057, 0.028327242531057,
-        0.028327242531057, 0.028327242531057, 0.028327242531057,
-        0.009421666963733, 0.009421666963733, 0.009421666963733,
-        0.009421666963733, 0.009421666963733, 0.009421666963733,
-    ]),
-)
+# Expansion order of each orbit: it fixes a rule's row order, and with it the
+# roundoff of every sum over the rule, down to the CG path of the FEM solve.
+_PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0), (2, 0, 1))
 
-_TRIANGLE_RULES = {8: _RULE_8, 10: _RULE_10}
-
-SUPPORTED_DEGREES = tuple(sorted(_TRIANGLE_RULES))
+SUPPORTED_DEGREES = tuple(sorted(_ORBITS))
 MAX_SUBDIVISION = 3
 
 
@@ -99,12 +50,15 @@ def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric points (k, 3) and unit-sum weights (k,) for a symmetric
     Gauss rule exact to the given polynomial degree on a triangle."""
     try:
-        bary, w = _TRIANGLE_RULES[degree]
+        orbits = _ORBITS[degree]
     except KeyError:
         raise UnsupportedDegree(
             f"degree {degree} not available; choose from {SUPPORTED_DEGREES}"
         ) from None
-    return bary.copy(), w.copy()
+    rows = [(point, w) for g, w in orbits
+            for point in dict.fromkeys(tuple(g[i] for i in perm) for perm in _PERMUTATIONS)]
+    points, weights = zip(*rows)
+    return np.array(points), np.array(weights)
 
 
 @dataclass(frozen=True)

@@ -309,14 +309,21 @@ def test_check_thin_rectangle_gamma(tmp_path, capsys):
     assert "gamma       2e+07\n" in out
 
 
-@pytest.mark.parametrize("doc", [{"verts": [[0, 0], [1, 0], [0, 1]]}, [[0, 0], [1, 0], [0, 1]]])
-def test_check_polygon_json_without_vertices_key(tmp_path, capsys, doc):
+@pytest.mark.parametrize(("doc", "named"), [
+    pytest.param('{"verts": [[0, 0], [1, 0], [0, 1]]}', '"vertices"', id="doc0"),
+    pytest.param("[[0, 0], [1, 0], [0, 1]]", '"vertices"', id="doc1"),
+    pytest.param('{"vertices": 3}', "at least 3 vertices", id="doc2"),
+    pytest.param('{"vertices": [[0, 0], [1]]}', "vertices are not an array of numbers", id="doc3"),
+    pytest.param('{"vertices": "abc"}', "vertices are not an array of numbers", id="doc4"),
+    pytest.param('{"vertices": [[0, 0], [1, 0], [1e400, 1]]}', "vertices must be finite", id="doc5"),
+])
+def test_check_polygon_json_without_vertices_key(tmp_path, capsys, doc, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc)
     rc, out, err = run_cli(capsys, "check-polygon", "--polygon", str(path))
     assert rc == 1
     assert out == ""
-    assert err.startswith("error: PolygonError: ") and '"vertices"' in err
+    assert err.startswith("error: PolygonError: ") and named in err
     assert "Traceback" not in err
 
 
@@ -361,9 +368,11 @@ def test_pentagon_study_surface_dump(tmp_path, capsys):
 
 
 def test_pentagon_study_validates_apex(capsys):
-    rc, _, err = run_cli(capsys, "pentagon-study", "--apex", "0.9")
-    assert rc == 1
-    assert "apex" in err
+    for apex in ("0.9", "nan", "inf", "1.5,inf"):
+        rc, out, err = run_cli(capsys, "pentagon-study", "--apex", apex)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: ValueError: apex height must be finite and exceed 1\n"
 
 
 def test_pentagon_study_reruns_byte_identical(tmp_path, capsys):

@@ -588,6 +588,20 @@ def test_scan_is_deterministic():
     assert_allclose(a.argmax_points, b.argmax_points, rtol=0, atol=0)
 
 
+def test_scan_of_a_far_translate():
+    """A translate by 2^20 (exact in floating point) scans the same points
+    and finds the same maxima, at the translated arg-max points."""
+    p = apex_pentagon(1.5)
+    far = Polygon(p.vertices + 2.0**20)
+    for kind in ("mvc", "wachspress"):
+        a = sup_gradient_scan(p, kind, resolution=64, margin=1e-4)
+        b = sup_gradient_scan(far, kind, resolution=64, margin=1e-4)
+        assert b.n_points == a.n_points
+        assert_allclose(b.per_vertex_max, a.per_vertex_max, rtol=1e-12)
+        assert b.overall_max == pytest.approx(a.overall_max, rel=1e-12)
+        assert_allclose(b.argmax_points, a.argmax_points + 2.0**20, rtol=1e-12)
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         sup_gradient_scan(SQUARE, "mvc", resolution=4)

@@ -76,7 +76,7 @@ def test_repeated_vertex_rejected():
 
 
 def test_too_few_vertices_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PolygonError):
         Polygon([(0.0, 0.0), (1.0, 0.0)])
 
 
@@ -90,7 +90,7 @@ def test_clockwise_input_reversed_with_warning():
 
 
 def test_nonfinite_vertex_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(PolygonError):
         Polygon([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)])
 
 
@@ -235,6 +235,13 @@ def test_pentagon_apex_angle_flattens():
 def test_apex_pentagon_requires_height_above_one():
     with pytest.raises(ValueError):
         apex_pentagon(1.0)
+
+
+def test_far_translate_validates():
+    # adding 2^30 is exact, but the shoelace sum on absolute coordinates
+    # cancels to zero; taken about vertex 0 it keeps every digit
+    p = Polygon(apex_pentagon(1.5).vertices + 2.0**30)
+    assert p.area == 4.5
 
 
 def test_min_vertex_distance():
@@ -517,9 +524,21 @@ def test_json_accepts_clockwise():
     assert q.area > 0
 
 
-@pytest.mark.parametrize("text", ['{"verts": [[0, 0], [1, 0], [0, 1]]}', "[[0, 0], [1, 0], [0, 1]]"])
-def test_json_without_vertices_key_is_a_polygon_error(text):
-    with pytest.raises(PolygonError, match='"vertices"'):
+MALFORMED_JSON = [
+    ('{"verts": [[0, 0], [1, 0], [0, 1]]}', '"vertices"'),
+    ("[[0, 0], [1, 0], [0, 1]]", '"vertices"'),
+    ('{"vertices": 3}', "at least 3 vertices"),
+    ('{"vertices": [[0, 0], [1]]}', "vertices are not an array of numbers"),
+    ('{"vertices": "abc"}', "vertices are not an array of numbers"),
+    ('{"vertices": [[0, 0], [1, 0], [1e400, 1]]}', "vertices must be finite"),
+]
+
+
+@pytest.mark.parametrize(("text", "named"), [pytest.param(*case, id=case[0]) for case in MALFORMED_JSON])
+def test_json_without_vertices_key_is_a_polygon_error(text, named):
+    """A document without a vertex list, or whose vertices are not an
+    (n, 2) array of finite numbers, is a PolygonError naming the fault."""
+    with pytest.raises(PolygonError, match=named):
         polygon_from_json(text)
 
 

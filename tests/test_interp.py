@@ -1,6 +1,7 @@
 """Quadrature, the nodal interpolant, and the dimensionless error ratio."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -60,6 +61,26 @@ def test_reference_rule_monomial_exactness(degree):
             got = 0.5 * np.dot(w, x**a * y**b)  # rule weights sum to 1, area 1/2
             want = factorial(a) * factorial(b) / factorial(a + b + 2)
             assert got == pytest.approx(want, rel=1e-13, abs=1e-16)
+
+
+@pytest.mark.parametrize(("degree", "rows"), [(8, 16), (10, 25)])
+def test_rule_is_symmetric(degree, rows):
+    """Permuting the barycentric columns leaves the set of (point, weight)
+    rows unchanged, and no point repeats."""
+    bary, w = triangle_rule(degree)
+    assert len(set(map(tuple, bary))) == rows == len(w)
+    table = sorted(zip(map(tuple, bary), w))
+    for perm in itertools.permutations(range(3)):
+        assert sorted(zip(map(tuple, bary[:, perm]), w)) == table
+
+
+def test_rule_arrays_are_fresh():
+    bary, w = triangle_rule(8)
+    kept = bary.copy(), w.copy()
+    bary[:] = 0.0
+    w[:] = 0.0
+    for got, want in zip(triangle_rule(8), kept):
+        assert_allclose(got, want, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("degree", SUPPORTED_DEGREES)
