@@ -294,8 +294,18 @@ class ScanResult:
     overall_vertex: int
 
 
+# A scan keeps the points whose signed boundary distance is at least
+# margin * _SCAN_PAD; the scanline cuts aim at margin / _SCAN_PAD, so the
+# points on the margin shell stay on the admissible side.
+_SCAN_PAD = 1.0 - 1e-9
+# A scan evaluates its points in blocks of _SCAN_BLOCK // n, so each (n, m)
+# plane of a block holds at most this many values (256 KiB) and stays in L2.
+_SCAN_BLOCK = 2**15
+
+
 def _scan_grid(p: Polygon, resolution: int, margin: float) -> np.ndarray:
-    """Axis-aligned scan points covering {x : dist(x, boundary) >= margin}.
+    """Axis-aligned scan points covering {x : dist(x, boundary) >= margin},
+    unfiltered: the scan drops any that fall short of the margin.
 
     A uniform lattice misses the thin boundary strips where steep
     gradients live (strip thickness can be far below the lattice spacing),
@@ -311,8 +321,7 @@ def _scan_grid(p: Polygon, resolution: int, margin: float) -> np.ndarray:
     an unbounded family concentrates.
     """
     x0, y0, x1, y1 = p.bbox
-    pad = 1.0 - 1e-9  # keep shell points on the admissible side of the cut
-    thr = margin / pad
+    thr = margin / _SCAN_PAD
     normal, offset = p.edge_lines
     parts = []
     for axis, fixed in ((0, np.linspace(x0 + margin, x1 - margin, resolution)),
@@ -328,10 +337,7 @@ def _scan_grid(p: Polygon, resolution: int, margin: float) -> np.ndarray:
         line[:, :, axis] = fixed[keep, None]
         line[:, :, 1 - axis] = np.linspace(lo[keep], hi[keep], resolution, axis=1)
         parts.append(line.reshape(-1, 2))
-    pts = np.concatenate(parts, axis=0)
-    if pts.shape[0] == 0:
-        raise EvaluationError("no scan points survive the margin; lower it or refine")
-    return pts[p.signed_boundary_distance(pts) >= margin * pad]
+    return np.concatenate(parts, axis=0)
 
 
 def sup_gradient_scan(
@@ -348,6 +354,13 @@ def sup_gradient_scan(
     coordinate families whose gradients blow up near a flattening vertex
     the result grows like 1/margin while well-behaved families stay
     bounded as the margin shrinks.
+
+    The points are evaluated in blocks of ``_SCAN_BLOCK // n`` (2**15 // n)
+    grid points, each reduced into a running per-vertex maximum, so no
+    plane over the whole scan is built. A block replaces a maximum only
+    when strictly greater, so ties keep the first point, and no result
+    depends on the block size. The first point whose kernel output is not
+    finite raises EvaluationError naming its index among the kept points.
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
@@ -358,19 +371,40 @@ def sup_gradient_scan(
     # scan the copy centred on the vertex centroid: the scanline cuts take
     # differences of edge-line offsets, which lose digits far from the origin
     q = Polygon(p.vertices - p.centroid)
-    pts = _scan_grid(q, resolution, margin)
-    _, glam = interior_coordinates(q, point_geometry_batch(q, pts), kind, gradients=True)
-    norms = np.hypot(glam[0], glam[1])
-    rows = np.argmax(norms, axis=1)
-    per_vertex = norms[np.arange(p.n), rows]
+    grid = _scan_grid(q, resolution, margin)
+    vertices = np.arange(p.n)
+    per_vertex = np.full(p.n, -np.inf)
+    argmax_points = np.zeros((p.n, 2))
+    n_points = 0
+    step = max(1, _SCAN_BLOCK // p.n)
+    for start in range(0, len(grid), step):
+        block = grid[start:start + step]
+        pts = block[q.signed_boundary_distance(block) >= margin * _SCAN_PAD]
+        if len(pts) == 0:
+            continue
+        # numpy sums the n vertex rows of a one-point plane pairwise and of
+        # a wider plane row by row; a doubled lone point keeps the row order
+        X = pts if len(pts) > 1 else np.repeat(pts, 2, axis=0)
+        _, glam, bad = _interior_planes(q, point_geometry_batch(q, X), kind, True)
+        if bad.any():
+            _raise_at(NONFINITE, np.pad(bad, (n_points, 0)), kind)
+        norms = np.hypot(glam[0], glam[1])
+        rows = np.argmax(norms, axis=1)
+        top = norms[vertices, rows]
+        gain = top > per_vertex
+        per_vertex[gain] = top[gain]
+        argmax_points[gain] = X[rows[gain]]
+        n_points += len(pts)
+    if n_points == 0:
+        raise EvaluationError("no scan points survive the margin; lower it or refine")
     k = int(np.argmax(per_vertex))
     return ScanResult(
         kind=kind,
         resolution=resolution,
         margin=margin,
-        n_points=int(pts.shape[0]),
+        n_points=n_points,
         per_vertex_max=per_vertex,
-        argmax_points=pts[rows] + p.centroid,
+        argmax_points=argmax_points + p.centroid,
         overall_max=float(per_vertex[k]),
         overall_vertex=k,
     )

@@ -53,15 +53,20 @@ class Polygon:
         if scale <= 0.0:
             raise DegenerateEdge("all vertices coincide")
 
-        edges = np.roll(v, -1, axis=0) - v
+        # The shape tests run on the copy scaled by a power of two to a
+        # diameter in [1/2, 1): exact, so they decide as on v itself, and
+        # the products of lengths neither overflow nor underflow at any scale.
+        exp = np.frexp(scale)[1]
+        u, unit = np.ldexp(v, -exp), np.ldexp(scale, -exp)
+        edges = np.roll(u, -1, axis=0) - u
         lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if np.min(lengths) <= EPS_GEOM * scale:
+        if np.min(lengths) <= EPS_GEOM * unit:
             raise DegenerateEdge(
                 f"edge {int(np.argmin(lengths))} shorter than {EPS_GEOM:g} * diameter"
             )
 
-        area2 = _twice_area(v)
-        if abs(area2) <= EPS_GEOM * scale * scale:
+        area2 = _twice_area(u)
+        if abs(area2) <= EPS_GEOM * unit * unit:
             raise NonConvex("polygon has (numerically) zero area")
 
         # Convexity test on the sine of each turn angle, so the tolerance is
@@ -232,7 +237,7 @@ def _pairwise_distances(v: np.ndarray) -> np.ndarray:
     """Distances between all vertex pairs i < j of an (n, 2) array."""
     i, j = np.triu_indices(len(v), k=1)
     dx, dy = (v[i] - v[j]).T
-    return np.sqrt(dx * dx + dy * dy)
+    return np.hypot(dx, dy)  # no overflow or underflow far from unit size
 
 
 def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:

@@ -1,5 +1,6 @@
 """Coordinate values, analytic gradients, and the sup-gradient scanner."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -648,6 +649,90 @@ def test_scan_point_count_on_flat_pentagon():
     # edge at exactly the margin and the row through the apex cap
     scan = sup_gradient_scan(apex_pentagon(1.001), "mvc", resolution=256, margin=1e-4)
     assert scan.n_points == 130048
+
+
+SCAN_POLYGONS = {
+    "square": lambda: SQUARE,  # mirrored scan points tie for the maximum
+    "apex-1.5": lambda: apex_pentagon(1.5),
+    "apex-1.001": lambda: apex_pentagon(1.001),
+    "random-0": lambda: random_convex_polygon(np.random.default_rng(0)),
+    "random-1": lambda: random_convex_polygon(np.random.default_rng(1)),
+    "random-95": lambda: random_convex_polygon(np.random.default_rng(95)),  # 8 vertices
+}
+
+
+@pytest.mark.parametrize("points", [1, 7, 1000])
+@pytest.mark.parametrize("name", sorted(SCAN_POLYGONS))
+def test_scan_blocking_is_exact(monkeypatch, name, points):
+    """Scanning in blocks of 1, 7 or 1000 grid points, the last one partial,
+    gives the point count, maxima and arg-max points of one block bit for
+    bit; a tied maximum keeps its first point. A block's lone point keeps
+    the order of its vertex sums, which with 8 or more vertices numpy
+    would change."""
+    p = SCAN_POLYGONS[name]()
+    grids = []
+    real = coords._scan_grid
+    monkeypatch.setattr(coords, "_scan_grid", lambda *args: grids.append(real(*args)) or grids[-1])
+    for kind in ("mvc", "wachspress"):
+        monkeypatch.setattr(coords, "_SCAN_BLOCK", 2**62)
+        whole = sup_gradient_scan(p, kind, resolution=19, margin=1e-4)
+        monkeypatch.setattr(coords, "_SCAN_BLOCK", points * p.n)
+        blocked = sup_gradient_scan(p, kind, resolution=19, margin=1e-4)
+        assert len(grids[-1]) % points != 0 or points == 1
+        assert blocked.n_points == whole.n_points
+        assert blocked.per_vertex_max.tobytes() == whole.per_vertex_max.tobytes()
+        assert blocked.argmax_points.tobytes() == whole.argmax_points.tobytes()
+        assert blocked.overall_vertex == whole.overall_vertex
+
+
+@pytest.mark.parametrize("kind", ["mvc", "wachspress"])
+def test_scan_memory_stays_in_blocks(kind):
+    """A grid-256 scan allocates at most 16 MiB at its peak: the per-block
+    planes, not planes over all 130,048 points (about 114 MiB for mvc)."""
+    p = apex_pentagon(1.001)
+    tracemalloc.start()
+    try:
+        sup_gradient_scan(p, kind, 256, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def test_scan_names_a_non_finite_point_past_the_first_block(monkeypatch):
+    """A NaN weight at kept point 10000, in a later block, raises
+    EvaluationError naming that scan-wide index."""
+    real = coords._mvc_weights
+    seen = []
+    target = 10_000
+
+    def poisoned(g):
+        w = real(g)
+        start = sum(seen)
+        if start <= target < start + w.shape[1]:
+            w[0, target - start] = np.nan
+        seen.append(w.shape[1])
+        return w
+
+    monkeypatch.setattr(coords, "_mvc_weights", poisoned)
+    with pytest.raises(EvaluationError, match=r"non-finite mvc coordinates at point index 10000\b"):
+        sup_gradient_scan(apex_pentagon(1.5), "mvc", 256, 1e-4)
+    assert seen[0] <= target < sum(seen)
+
+
+def test_scan_with_no_point_past_the_margin(monkeypatch):
+    """Grid points that all lie inside the margin shell leave nothing to
+    scan: a typed error, not numpy's empty arg-max."""
+    margin = 1e-2
+
+    def shell(q, resolution, margin):
+        normal, _ = q.edge_lines
+        mid = q.vertices + 0.5 * q.edge_vectors
+        return mid + 0.5 * margin * normal
+
+    monkeypatch.setattr(coords, "_scan_grid", shell)
+    with pytest.raises(EvaluationError, match="no scan points survive the margin"):
+        sup_gradient_scan(apex_pentagon(1.5), "mvc", 64, margin)
 
 
 def test_scan_refinement_stability():

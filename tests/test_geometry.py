@@ -244,6 +244,16 @@ def test_far_translate_validates():
     assert p.area == 4.5
 
 
+@pytest.mark.parametrize("s", [1e160, 1e200, 1e-200])
+def test_scaled_pentagon_validates(s):
+    """Far from unit size the vertex distances neither overflow nor
+    underflow, and the shape tests decide as at unit size."""
+    p = apex_pentagon(1.5)
+    q = Polygon(p.vertices * s)
+    assert q.diameter == pytest.approx(s * p.diameter, rel=1e-15)
+    assert min_vertex_distance(q) == pytest.approx(s * min_vertex_distance(p), rel=1e-15)
+
+
 def test_min_vertex_distance():
     assert min_vertex_distance(SQUARE) == pytest.approx(1.0)
     # apex corners are the closest pair of the flat pentagon
