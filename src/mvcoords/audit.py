@@ -206,7 +206,7 @@ def audit_polygon(
     half = 0.5 * gc.d_min
     c.add(1, 0 if gc.h_star <= half * (1.0 + 1e-12) else 1, gc.h_star / half)
 
-    small_r = g.r < gc.h_star
+    small_r = g.r < gc.h_star * g.scale  # g.r is in frame units
     big_a = g.alpha > gc.alpha_star
 
     c = checks["at most one vertex within h*"]
@@ -244,6 +244,7 @@ def audit_polygon(
 
     c = checks["weight sum >= 2pi (unit diameter)"]
     wsum = _mvc_weights(g).sum(axis=0)
+    wsum *= g.scale  # to caller units; in place, as a new array here added page faults
     c.add(samples, np.count_nonzero(wsum < 2.0 * np.pi - TOL_WEIGHT_SUM),
           float((2.0 * np.pi - wsum).max()))
 

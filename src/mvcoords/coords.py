@@ -45,16 +45,16 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 
 def _edge_limit_values(p: Polygon, X: np.ndarray) -> np.ndarray:
     """Boundary values as an (n, m) plane: linear along the nearest edge,
-    delta at vertices."""
+    delta at vertices; the position along the edge is found in the frame."""
     m = X.shape[0]
     lam = np.zeros((p.n, m))
     k = np.argmin(p.edge_distances(X), axis=0)
-    v = p.vertices[k]
-    e = p.edge_vectors[k]
-    s = np.clip(np.sum((X - v) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
+    v = p.vertices[k] * p.scale
+    e = p.edge_vectors[k] * p.scale
+    t = np.clip(np.sum((X * p.scale - v) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
     cols = np.arange(m)
-    lam[k, cols] = 1.0 - s
-    lam[(k + 1) % p.n, cols] += s
+    lam[k, cols] = 1.0 - t
+    lam[(k + 1) % p.n, cols] += t
     return lam
 
 
@@ -78,16 +78,22 @@ def _raise_at(code: int, hit: np.ndarray, kind: str) -> None:
         raise error(text.format(i=int(np.argmax(hit)), kind=kind))
 
 
-def _normalized(w: np.ndarray, gw: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Coordinates w / sum(w) from weight planes (n, m) and, when given,
-    their gradients from weight gradient planes (2, n, m) by the quotient
-    rule."""
-    total = w.sum(axis=0)
+def _normalized(w: np.ndarray, gw: np.ndarray | None, scale: float):
+    """Coordinates w / sum(w) from frame weight planes (n, m) and, when
+    given, their caller-unit gradients from frame weight gradient planes
+    (2, n, m) by the quotient rule; ``scale`` is the frame's power of two.
+    Vertex rows are added in order, unlike numpy's sum for one point."""
+    total = w[0].copy()
+    for row in w[1:]:
+        total += row
     lam = w / total
     if gw is None:
         return lam, None
-    gtotal = gw.sum(axis=1, keepdims=True)
-    return lam, (gw - lam * gtotal) / total
+    gtotal = gw[:, :1].copy()
+    for i in range(1, len(w)):
+        gtotal += gw[:, i:i + 1]
+    # frame gradients are in range at any size; total / scale need not be
+    return lam, (gw - lam * gtotal) / total * scale
 
 
 def _mvc_weights(g: PointGeometryArrays) -> np.ndarray:
@@ -100,27 +106,23 @@ def _mvc_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
     gw = None
     if gradients:
         gw = (np.roll(g.grad_t, 1, axis=1) + g.grad_t) / g.r - (w / g.r) * g.grad_r
-    return _normalized(w, gw)
+    return _normalized(w, gw, g.scale)
 
 
 def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
-    # areas in units of about diameter², so area_prev * area neither
-    # underflows nor overflows at any scale; a power of two scales exactly,
-    # and the coordinates and their gradients do not depend on it
-    s = np.ldexp(1.0, -2 * np.frexp(p.diameter)[1])
-    area = 0.5 * s * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
+    area = 0.5 * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
     area_prev = np.roll(area, 1, axis=0)
-    e = p.edge_vectors
+    e = p.edge_vectors * g.scale  # frame edges, in the units of g
     e_prev = np.roll(e, 1, axis=0)
-    corner = 0.5 * s * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0])
+    corner = 0.5 * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0])
     w = corner[:, None] / (area_prev * area)
     gw = None
     if gradients:
         # grad A_i is constant: half the CCW normal of edge i, as (2, n, 1)
-        ga = (0.5 * s * _rot_ccw(e)).T[:, :, None]
+        ga = (0.5 * _rot_ccw(e)).T[:, :, None]
         ratio = ga / area + np.roll(ga, 1, axis=1) / area_prev
         gw = -w * ratio
-    return _normalized(w, gw)
+    return _normalized(w, gw, g.scale)
 
 
 _INTERIOR = {"mvc": _mvc_interior, "wachspress": _wachspress_interior}
@@ -166,7 +168,7 @@ class Evaluation:
     code per point, values as an (n, m) plane and, when asked, gradients as
     (2, n, m) planes. OK points have both, BAND points (within the interior
     tolerance of the boundary) edge-limit values only; OUTSIDE and
-    NONFINITE (a non-finite point or kernel output) points neither."""
+    NONFINITE (a non-finite point, kernel or edge-limit output) points neither."""
 
     kind: str
     status: np.ndarray
@@ -202,8 +204,9 @@ def evaluate(p: Polygon, points, kind: str, gradients: bool) -> Evaluation:
     lam[:, interior] = values
     if gradients:
         glam[:, :, interior] = grads
-    lam[:, band] = _edge_limit_values(p, X[band])
+    lam[:, band] = edge = _edge_limit_values(p, X[band])
     status[np.flatnonzero(interior)[bad]] = NONFINITE
+    status[np.flatnonzero(band)[~np.isfinite(edge).all(axis=0)]] = NONFINITE
     return Evaluation(kind, status, lam, glam)
 
 
@@ -382,10 +385,7 @@ def sup_gradient_scan(
         pts = block[q.signed_boundary_distance(block) >= margin * _SCAN_PAD]
         if len(pts) == 0:
             continue
-        # numpy sums the n vertex rows of a one-point plane pairwise and of
-        # a wider plane row by row; a doubled lone point keeps the row order
-        X = pts if len(pts) > 1 else np.repeat(pts, 2, axis=0)
-        _, glam, bad = _interior_planes(q, point_geometry_batch(q, X), kind, True)
+        _, glam, bad = _interior_planes(q, point_geometry_batch(q, pts), kind, True)
         if bad.any():
             _raise_at(NONFINITE, np.pad(bad, (n_points, 0)), kind)
         norms = np.hypot(glam[0], glam[1])
@@ -393,7 +393,7 @@ def sup_gradient_scan(
         top = norms[vertices, rows]
         gain = top > per_vertex
         per_vertex[gain] = top[gain]
-        argmax_points[gain] = X[rows[gain]]
+        argmax_points[gain] = pts[rows[gain]]
         n_points += len(pts)
     if n_points == 0:
         raise EvaluationError("no scan points survive the margin; lower it or refine")

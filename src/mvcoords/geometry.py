@@ -49,15 +49,14 @@ class Polygon:
         if not np.all(np.isfinite(v)):
             raise PolygonError("vertices must be finite")
 
-        scale = float(np.max(_pairwise_distances(v)))
-        if scale <= 0.0:
-            raise DegenerateEdge("all vertices coincide")
+        diameter = float(np.max(_pairwise_distances(v)))
+        if diameter < np.finfo(float).tiny:  # zero, or subnormal: no finite frame scale
+            raise DegenerateEdge(f"all vertices coincide, or nearly: diameter {diameter:g}")
 
-        # The shape tests run on the copy scaled by a power of two to a
-        # diameter in [1/2, 1): exact, so they decide as on v itself, and
-        # the products of lengths neither overflow nor underflow at any scale.
-        exp = np.frexp(scale)[1]
-        u, unit = np.ldexp(v, -exp), np.ldexp(scale, -exp)
+        # The frame: scaled exactly by the power of two s putting the diameter in
+        # [1, 2), where no product of two lengths leaves the float range.
+        s = self._scale = float(np.ldexp(1.0, 1 - np.frexp(diameter)[1]))
+        u, unit = v * s, diameter * s
         edges = np.roll(u, -1, axis=0) - u
         lengths = np.hypot(edges[:, 0], edges[:, 1])
         if np.min(lengths) <= EPS_GEOM * unit:
@@ -83,7 +82,7 @@ class Polygon:
             v = v[::-1].copy()
         v.setflags(write=False)
         self._vertices = v
-        self._diameter = scale
+        self._diameter = diameter
 
     @property
     def vertices(self) -> np.ndarray:
@@ -115,9 +114,14 @@ class Polygon:
         """Largest distance between two polygon points (attained at vertices)."""
         return self._diameter
 
+    @property
+    def scale(self) -> float:
+        """The power of two mapping the polygon to its frame (diameter in [1, 2))."""
+        return self._scale
+
     @cached_property
     def area(self) -> float:
-        return 0.5 * _twice_area(self._vertices)
+        return 0.5 * _twice_area(self._vertices * self._scale) / self._scale / self._scale
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -131,7 +135,7 @@ class Polygon:
         Uses atan2 of cross/dot so angles at exactly pi are well conditioned;
         tiny negative crosses from roundoff are clamped to zero.
         """
-        v = self._vertices
+        v = self._vertices * self._scale
         a = np.roll(v, 1, axis=0) - v
         b = np.roll(v, -1, axis=0) - v
         cross = np.maximum(b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0], 0.0)
@@ -169,7 +173,7 @@ class Polygon:
         interior points of a convex polygon never exceeds the true boundary
         distance (so it is a safe interiority margin). A point with an
         infinite coordinate and no NaN lies outside every polygon and gets
-        -inf; a NaN point gets NaN.
+        -inf; a NaN point gets NaN. Edge factors come from the frame.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.isfinite(X).all():
@@ -178,12 +182,12 @@ class Polygon:
             sd[finite] = self.signed_boundary_distance(X[finite])
             return sd
         v = self._vertices
-        e = self.edge_vectors
+        e = self.edge_vectors * self._scale
         # (n, m) planes of x - v_k, one row per edge
         dx = X[:, 0] - v[:, 0, None]
         dy = X[:, 1] - v[:, 1, None]
         cross = e[:, 0, None] * dy - e[:, 1, None] * dx
-        return np.min(cross / self.edge_lengths[:, None], axis=0)
+        return np.min(cross / (self.edge_lengths * self._scale)[:, None], axis=0)
 
     def edge_distances(self, points) -> np.ndarray:
         """Euclidean distance from each point to each closed edge segment.
@@ -197,7 +201,8 @@ class Polygon:
         dx = X[:, 0] - v[:, 0, None]
         dy = X[:, 1] - v[:, 1, None]
         ex, ey = e[:, 0, None], e[:, 1, None]
-        tt = np.clip((dx * ex + dy * ey) / np.sum(e * e, axis=1)[:, None], 0.0, 1.0)
+        fx, fy = ex * self._scale, ey * self._scale  # frame edges: one factor of each product
+        tt = np.clip((dx * fx + dy * fy) / (ex * fx + ey * fy), 0.0, 1.0)
         return np.hypot(X[:, 0] - (v[:, 0, None] + tt * ex), X[:, 1] - (v[:, 1, None] + tt * ey))
 
     def __repr__(self) -> str:
@@ -350,8 +355,8 @@ def compute_hstar(p: Polygon) -> float:
     clause binds: h* is the minimum over the triangle of the largest edge
     distance, attained at the incenter, so it is the inradius 2A / P.
     """
-    if p.n == 3:
-        return 2.0 * p.area / float(p.edge_lengths.sum())
+    if p.n == 3:  # 2A / P, formed in the frame and scaled back
+        return _twice_area(p.vertices * p.scale) / float(p.edge_lengths.sum() * p.scale) / p.scale
     dist = p.edge_distances(p.vertices)
     k = np.arange(p.n)
     dist[k, k] = dist[k - 1, k] = np.inf  # vertex k ends edges k - 1 and k
@@ -390,14 +395,18 @@ class PointGeometryArrays:
     and ``dot`` of the vertex-to-point vector pairs (v_i - x, v_{i+1} - x),
     ``alpha`` (subtended angles alpha_i), ``t`` (half-angle tangents t_i),
     and the gradients ``grad_r``, ``grad_alpha`` and ``grad_t``; ``cross``
-    is twice the signed triangle area A(x, v_i, v_{i+1}).
+    is twice the signed triangle area A(x, v_i, v_{i+1}). Fields are in the
+    frame of the polygon, whose power of two ``scale`` they carry: ``r`` is
+    r_i * scale, ``cross`` and ``dot`` carry scale**2, and ``grad_alpha``
+    and ``grad_t`` are the caller gradients over scale.
     """
 
     def __init__(self, p: Polygon, points) -> None:
         X = np.atleast_2d(np.asarray(points, dtype=float))
-        # x - v_i as x and y planes, shape (2, n, m): five fields read it,
-        # so it is kept
-        self._d = X.T[:, None, :] - p.vertices.T[:, :, None]
+        self.scale = p.scale
+        # x*s - v_i*s, with the bits of (x - v_i)*s, as x and y planes of
+        # shape (2, n, m): five fields read it, so it is kept
+        self._d = (X * self.scale).T[:, None, :] - (p.vertices * self.scale).T[:, :, None]
 
     @staticmethod
     def _next(a: np.ndarray) -> np.ndarray:
@@ -460,7 +469,8 @@ def point_geometry_batch(p: Polygon, points) -> PointGeometryArrays:
     """Distances r_i, subtended angles alpha_i, half-angle tangents t_i and
     their gradients at each point of an (m, 2) batch, each computed when
     first read, as (n, m) vertex-major planes; a gradient is a (2, n, m)
-    stack of its x and y planes.
+    stack of its x and y planes. Lengths and gradients are in the frame of
+    ``p``, whose power of two the result carries as ``scale``.
 
     Pure array computation with no interiority checks; callers gate the
     points. Angles come from atan2 of cross/dot, and tangents use

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -20,6 +20,7 @@ from mvcoords.coords import (
     _mvc_weights,
     _normalized,
     _scan_grid,
+    coordinate_gradients,
     coordinate_values,
     evaluate,
     fd_gradient,
@@ -37,7 +38,13 @@ from mvcoords.errors import (
     PointTooCloseToBoundary,
     StepTooLarge,
 )
-from mvcoords.geometry import Polygon, _rot_ccw, apex_pentagon, point_geometry_batch
+from mvcoords.geometry import (
+    Polygon,
+    _rot_ccw,
+    apex_pentagon,
+    geometric_constants,
+    point_geometry_batch,
+)
 
 SQUARE = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 TRI = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -320,6 +327,28 @@ def test_mixed_batch_statuses_match_single_point_errors(poisoned_square_weights)
         fd_gradient(SQUARE, [(0.5, 0.5), (3.0, 0.5)])
 
 
+def test_non_finite_edge_limit_value_is_nonfinite(monkeypatch):
+    """A band point whose edge-limit values come out NaN gets the status
+    NONFINITE, and a values call raises EvaluationError naming it."""
+    real = coords._edge_limit_values
+    poisoned_point = (0.0, 0.6)
+
+    def poisoned(p, X):
+        lam = real(p, X)
+        lam[:, (X == poisoned_point).all(axis=1)] = np.nan
+        return lam
+
+    monkeypatch.setattr(coords, "_edge_limit_values", poisoned)
+    pts = np.array([(0.5, 0.5), (0.3, 0.0), poisoned_point, (0.6, 0.4)])
+    for gradients in (False, True):
+        ev = evaluate(SQUARE, pts, "mvc", gradients)
+        assert ev.status.tolist() == [OK, BAND, NONFINITE, OK]
+    with pytest.raises(EvaluationError, match=r"point index 2\b") as exc:
+        mvc_values(SQUARE, pts)
+    assert type(exc.value) is EvaluationError
+    assert_allclose(mvc_values(SQUARE, pts[:2])[1], [0.7, 0.3, 0.0, 0.0], atol=1e-12)
+
+
 def test_infinite_points_are_outside_and_nan_points_nonfinite():
     """A point with an infinite coordinate and no NaN is OUTSIDE, with no
     0 * inf warning on the way; a NaN point stays NONFINITE."""
@@ -535,23 +564,104 @@ def test_similarity_invariance(polygon_suite, rng):
 
 
 def test_wachspress_area_scaling_is_exact(polygon_suite, rng):
-    """The kernel's power-of-two area scaling changes no bit against the
-    unscaled formula wherever that formula stays in range."""
+    """The kernel's power-of-two frame changes no bit against the unscaled
+    formula on caller-unit differences x - v_i wherever that formula stays
+    in range."""
     for p in polygon_suite:
         pts = sample_interior(p, rng, 50, margin=1e-3)
-        g = point_geometry_batch(p, pts)
-        area = 0.5 * g.cross  # (n, m) planes
+        d = pts.T[:, None, :] - p.vertices.T[:, :, None]  # (2, n, m) planes of x - v_i
+        d_next = np.roll(d, -1, axis=1)
+        area = 0.5 * (d[0] * d_next[1] - d[1] * d_next[0])
         area_prev = np.roll(area, 1, axis=0)
         e = p.edge_vectors
         e_prev = np.roll(e, 1, axis=0)
         w = (0.5 * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0]))[:, None] / (area_prev * area)
         ga = (0.5 * _rot_ccw(e)).T[:, :, None]
         ratio = ga / area + np.roll(ga, 1, axis=1) / area_prev
-        lam, glam = _normalized(w, -w * ratio)
+        lam, glam = _normalized(w, -w * ratio, 1.0)
         out = wachspress_gradients(p, pts)
         assert np.array_equal(wachspress_values(p, pts), lam.T)
         assert np.array_equal(out.values, lam.T)
         assert np.array_equal(out.gradients, glam.transpose(2, 1, 0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(-1000, 1000))
+@example(seed=8, j=1000)  # Wachspress scan weights sum past 2^24 in the frame
+@example(seed=8, j=-1000)
+def test_power_of_two_similarity_is_exact(seed, j):
+    """A random polygon and its points scaled by 2^j, anywhere in the float
+    range, give the same values bit for bit, the gradients over 2^j, the
+    geometric lengths times 2^j with the same angles and aspect ratio, and
+    every scan field scaled alike, with no floating-point warning. The
+    polygon sits off the axes, so its coordinates and the points' offsets
+    stay normal numbers at every j."""
+    rng = np.random.default_rng(seed)
+    p = Polygon(random_convex_polygon(rng).vertices + (2.0, 3.0))
+    q = Polygon(np.ldexp(p.vertices, j))
+    pts = sample_interior(p, rng, 20, margin=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in ("mvc", "wachspress"):
+            scaled = np.ldexp(pts, j)
+            assert np.array_equal(coordinate_values(q, scaled, kind),
+                                  coordinate_values(p, pts, kind))
+            base, out = coordinate_gradients(p, pts, kind), coordinate_gradients(q, scaled, kind)
+            assert np.array_equal(out.values, base.values)
+            assert np.array_equal(np.ldexp(out.gradients, j), base.gradients)
+
+            a, b = sup_gradient_scan(p, kind, 16), sup_gradient_scan(q, kind, 16)
+            assert (b.n_points, b.overall_vertex) == (a.n_points, a.overall_vertex)
+            assert np.ldexp(b.margin, -j) == a.margin
+            assert np.ldexp(b.overall_max, j) == a.overall_max
+            assert np.array_equal(np.ldexp(b.per_vertex_max, j), a.per_vertex_max)
+            assert np.array_equal(np.ldexp(b.argmax_points, -j), a.argmax_points)
+        gp, gq = geometric_constants(p), geometric_constants(q)
+    for name in ("diameter", "inradius", "d_min", "h_star"):
+        assert np.ldexp(getattr(gq, name), -j) == getattr(gp, name), name
+    for name in ("beta_min", "beta_max", "aspect_ratio"):
+        assert getattr(gq, name) == getattr(gp, name), name
+    assert np.pi / 2.0 <= gq.alpha_star <= np.pi
+
+
+@pytest.mark.parametrize("kind", ["mvc", "wachspress"])
+def test_decimal_scales_across_the_float_range(kind):
+    """apex_pentagon(1.5) scaled by 10^k for every k from -300 to 300, at
+    interior points, edge points and the vertices: no value is NaN, values
+    stay within 1e-15 of the unscaled ones and gradients times 10^k within
+    1e-14 of the largest unscaled one."""
+    p = apex_pentagon(1.5)
+    rng = np.random.default_rng(7)
+    inner = sample_interior(p, rng, 5, margin=1e-3)
+    i = rng.integers(0, p.n, 5)
+    edge = p.vertices[i] + rng.uniform(0.0, 1.0, (5, 1)) * p.edge_vectors[i]
+    pts = np.concatenate([inner, edge, p.vertices])
+    lam = coordinate_values(p, pts, kind)
+    grad = coordinate_gradients(p, inner, kind).gradients
+    for k in range(-300, 301):
+        s = 10.0**k
+        q = Polygon(s * p.vertices)
+        assert np.abs(coordinate_values(q, s * pts, kind) - lam).max() <= 1e-15, k
+        g = coordinate_gradients(q, s * inner, kind).gradients
+        assert np.abs(s * g - grad).max() <= 1e-14 * np.abs(grad).max(), k
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_one_point_call_equals_its_batch_row(n):
+    """A point's coordinates do not depend on the batch it is evaluated in:
+    a one-point call gives its row of the batch call bit for bit, values
+    and gradients of both kinds, on a jittered regular n-gon."""
+    rng = np.random.default_rng(n)
+    ang = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, n)) / n
+    p = Polygon(np.column_stack([np.cos(ang), np.sin(ang)]))
+    pts = sample_interior(p, rng, 40, margin=1e-3)
+    for kind in ("mvc", "wachspress"):
+        lam = coordinate_values(p, pts, kind)
+        batch = coordinate_gradients(p, pts, kind)
+        for x, row, values, grads in zip(pts, lam, batch.values, batch.gradients):
+            one = coordinate_gradients(p, x, kind)
+            assert np.array_equal(coordinate_values(p, x, kind), row)
+            assert np.array_equal(one.values, values)
+            assert np.array_equal(one.gradients, grads)
 
 
 def test_fd_step_validation():
@@ -666,9 +776,9 @@ SCAN_POLYGONS = {
 def test_scan_blocking_is_exact(monkeypatch, name, points):
     """Scanning in blocks of 1, 7 or 1000 grid points, the last one partial,
     gives the point count, maxima and arg-max points of one block bit for
-    bit; a tied maximum keeps its first point. A block's lone point keeps
-    the order of its vertex sums, which with 8 or more vertices numpy
-    would change."""
+    bit; a tied maximum keeps its first point. A block's lone point sums
+    its vertex rows in the same order as a wider block, also with 8 or
+    more vertices."""
     p = SCAN_POLYGONS[name]()
     grids = []
     real = coords._scan_grid

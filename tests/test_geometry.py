@@ -254,6 +254,14 @@ def test_scaled_pentagon_validates(s):
     assert min_vertex_distance(q) == pytest.approx(s * min_vertex_distance(p), rel=1e-15)
 
 
+@pytest.mark.parametrize("s", [1e-310, 1e-320])
+def test_subnormal_polygon_is_rejected(s):
+    """A polygon of subnormal diameter has no finite frame scale: a typed
+    error, not NaN coordinates and constants."""
+    with pytest.raises(DegenerateEdge, match="coincide, or nearly"):
+        Polygon(apex_pentagon(1.5).vertices * s)
+
+
 def test_min_vertex_distance():
     assert min_vertex_distance(SQUARE) == pytest.approx(1.0)
     # apex corners are the closest pair of the flat pentagon
@@ -466,11 +474,13 @@ def test_point_geometry_gradients_match_fd():
     h = 1e-7
     stencil = x + h * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     g = point_geometry_batch(p, stencil)
+    assert g.scale == 0.5  # diameter 2 sqrt(2): the frame halves lengths
     for dim in range(2):
         plus, minus = 1 + 2 * dim, 2 + 2 * dim
         for name in ("r", "alpha", "t"):
             f = getattr(g, name)
-            fd = (f[:, plus] - f[:, minus]) / (2 * h)
+            # planes differenced over caller steps, in frame coordinates
+            fd = (f[:, plus] - f[:, minus]) / (2 * h) / g.scale
             assert_allclose(getattr(g, f"grad_{name}")[dim, :, 0], fd, atol=2e-7)
 
 
