@@ -1,11 +1,14 @@
-"""Poisson solver on meshes of squares with mid-side nodes.
+"""Poisson solver on conforming meshes of convex polygons.
 
-Each element is an octagon whose four extra vertices sit at edge
-midpoints (interior angles of pi), with mean value coordinates as the
-element basis. The pipeline is standard Galerkin: assemble the stiffness
-matrix and load vector, eliminate Dirichlet rows against exact nodal
-boundary values, solve with Jacobi-preconditioned conjugate gradients,
-and measure errors against the manufactured solution.
+Mean value coordinates are the element basis. Assembly and the error
+norms take any conforming mesh whose elements are convex CCW loops of
+one valence k (triangles, squares, ...). ``build_mesh`` makes the mesh of
+the convergence study: squares with mid-side nodes, so each element is an
+octagon whose four extra vertices have interior angles of pi. The
+pipeline is standard Galerkin: assemble the stiffness matrix and load
+vector, eliminate Dirichlet rows against exact nodal boundary values,
+solve with Jacobi-preconditioned conjugate gradients, and measure errors
+against the manufactured solution.
 """
 
 from __future__ import annotations
@@ -27,18 +30,38 @@ DEFAULT_ERROR_RULE = (10, 2)
 CG_TOL = 1e-10
 # quadrature points per chunk of elements in assembly and error norms:
 # a chunk's (m, 2) point and field arrays then stay in cache, and its
-# matmuls against the 8 basis functions stay below the size at which
+# matmuls against the k basis functions stay below the size at which
 # OpenBLAS hands work to a second thread that spin-waits between calls
 _CHUNK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Nodes, 8-node CCW element loops, and boundary node indices."""
+    """Nodes, CCW element loops of one valence, and boundary node indices.
+
+    ``elements`` is an integer (E, k) table with k >= 3, row e the node
+    loop of element e; ``boundary_nodes`` lists the Dirichlet nodes. Every
+    index must lie in [0, n_nodes): a table that breaks this raises
+    PolygonError naming the element or boundary entry and the index.
+    """
 
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
+
+    def __post_init__(self) -> None:
+        el = self.elements
+        if el.ndim != 2 or el.shape[1] < 3:
+            raise PolygonError(f"elements must be an (E, k) table with k >= 3, not {el.shape}")
+        for name, table in (("element", el), ("boundary entry", self.boundary_nodes)):
+            if not np.issubdtype(table.dtype, np.integer):
+                raise PolygonError(f"{name} table holds {table.dtype}, not integer node indices")
+            bad = np.argwhere((table < 0) | (table >= self.n_nodes))
+            if bad.size:
+                raise PolygonError(
+                    f"{name} {bad[0, 0]}: node index {table[tuple(bad[0])]} "
+                    f"outside [0, {self.n_nodes})"
+                )
 
     @property
     def n_nodes(self) -> int:
@@ -101,10 +124,7 @@ def _shape_groups(mesh: Mesh, degree: int, subdivision: int):
     local = coords - origins[:, None, :]
     tol = 1e-12 * max(float(np.max(np.abs(local))), 1e-300)
     key = np.rint(local.reshape(mesh.n_elements, -1) / tol)
-    if np.all(key == key[0]):  # all translates of element 0, as on build_mesh: no sort
-        first, group = [0], np.zeros(mesh.n_elements)
-    else:
-        _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
     for g, e in enumerate(first):
         x, y = local[e].T
         if x @ np.roll(y, -1) < np.roll(x, -1) @ y:
@@ -136,11 +156,13 @@ def _chunks(origins: np.ndarray, points: np.ndarray):
 def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
     """Stiffness and load for -Δu = f with f = u_exact.source, Dirichlet
     data u_exact on the boundary nodes, eliminated by rhs lift; quadrature
-    by DEFAULT_ASSEMBLY_RULE."""
+    by DEFAULT_ASSEMBLY_RULE. Any Mesh works: k nodes per element give k²
+    stiffness entries per element."""
     n_nodes = mesh.n_nodes
-    rows = np.repeat(mesh.elements, 8, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 8)).ravel()
-    data = np.empty((mesh.n_elements, 64))
+    k = mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, k, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, k)).ravel()
+    data = np.empty((mesh.n_elements, k * k))
     load = np.empty(mesh.elements.shape)
     for idx, origins, rule, basis in _shape_groups(mesh, *DEFAULT_ASSEMBLY_RULE):
         g = basis.gradients
@@ -239,9 +261,9 @@ def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tup
         w = rule.weights
         n_q = w.size
         phi_t = basis.values.T
-        # (8, 2Q) with column 2q + a = d phi_i / dx_a at point q, the layout of
+        # (k, 2Q) with column 2q + a = d phi_i / dx_a at point q, the layout of
         # the jet's gradient reshaped per element, so gradients are one matmul
-        grad_t = basis.gradients.transpose(1, 0, 2).reshape(8, 2 * n_q)
+        grad_t = basis.gradients.transpose(1, 0, 2).reshape(mesh.elements.shape[1], 2 * n_q)
         w2 = np.repeat(w, 2)
         for sl, pts in _chunks(origins, rule.points):
             nodal = coeffs[mesh.elements[idx[sl]]]

@@ -320,12 +320,15 @@ class GeometricConstants:
 def geometric_constants(p: Polygon) -> GeometricConstants:
     """Compute all quality constants for the polygon as given.
 
-    Callers who want diameter-one constants normalize first with
-    :func:`normalize_to_unit_diameter`.
+    Lengths are in the polygon's own units; callers who want diameter-one
+    lengths normalize first with :func:`normalize_to_unit_diameter`. The
+    angle alpha* = max(pi - beta_min / 2, 2 arctan(diameter / h*)) takes
+    h* per unit diameter, as the paper defines it, so it depends on shape
+    alone.
     """
     beta = p.interior_angles
     h_star = compute_hstar(p)
-    alpha_star = max(np.pi - float(beta.min()) / 2.0, 2.0 * np.arctan(1.0 / h_star))
+    alpha_star = max(np.pi - float(beta.min()) / 2.0, 2.0 * np.arctan(p.diameter / h_star))
     return GeometricConstants(
         diameter=p.diameter,
         inradius=p.inradius,

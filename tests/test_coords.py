@@ -618,7 +618,7 @@ def test_power_of_two_similarity_is_exact(seed, j):
         gp, gq = geometric_constants(p), geometric_constants(q)
     for name in ("diameter", "inradius", "d_min", "h_star"):
         assert np.ldexp(getattr(gq, name), -j) == getattr(gp, name), name
-    for name in ("beta_min", "beta_max", "aspect_ratio"):
+    for name in ("beta_min", "beta_max", "aspect_ratio", "alpha_star"):
         assert getattr(gq, name) == getattr(gp, name), name
     assert np.pi / 2.0 <= gq.alpha_star <= np.pi
 

@@ -1,4 +1,4 @@
-"""Octagonal-element Poisson solver: meshing, assembly, solve, convergence."""
+"""Polygonal-element Poisson solver: meshing, assembly, solve, convergence."""
 
 import dataclasses
 import json
@@ -38,6 +38,35 @@ STUDY_H1 = [7.571734796779e-02, 3.605226659397e-02, 1.765062623080e-02, 8.749081
 
 def element_polygon(mesh, e):
     return Polygon(mesh.nodes[mesh.elements[e]])
+
+
+def square_mesh(n):
+    """n-by-n mesh of [0,1]² into 4-node squares, each CCW from its lower
+    left corner; node j(n+1) + i sits at (i, j)/n."""
+    i = np.arange(n + 1)
+    nodes = np.column_stack([np.tile(i, n + 1), np.repeat(i, n + 1)]) / n
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    elements = np.column_stack([ll, ll + 1, ll + n + 2, ll + n + 1])
+    rim = np.flatnonzero(((nodes == 0.0) | (nodes == 1.0)).any(axis=1))
+    return fem.Mesh(nodes=nodes, elements=elements, boundary_nodes=rim)
+
+
+def triangle_mesh(n):
+    """square_mesh(n) with each square cut along its lower-left to
+    upper-right diagonal into two CCW triangles."""
+    mesh = square_mesh(n)
+    lower = mesh.elements[:, [0, 1, 2]]
+    upper = mesh.elements[:, [0, 2, 3]]
+    return dataclasses.replace(mesh, elements=np.concatenate([lower, upper]))
+
+
+def graded(mesh):
+    """The mesh with x mapped to x^2/2 + x/2: one element shape per column."""
+    x, y = mesh.nodes.T
+    return dataclasses.replace(mesh, nodes=np.column_stack([x**2 / 2 + x / 2, y]))
+
+
+SINGLE_VALENCE = {"square": square_mesh, "triangle": triangle_mesh}
 
 
 def diag_system(diag, rhs):
@@ -192,8 +221,8 @@ def per_element_reference(mesh, u, coeffs):
         rule = fan_quadrature(poly, *DEFAULT_ASSEMBLY_RULE)
         basis = mvc_gradients(poly, rule.points)
         g = basis.gradients
-        rows.append(np.repeat(idx, 8))
-        cols.append(np.tile(idx, 8))
+        rows.append(np.repeat(idx, len(idx)))
+        cols.append(np.tile(idx, len(idx)))
         data.append(np.einsum("q,qia,qja->ij", rule.weights, g, g).ravel())
         np.add.at(load, idx, basis.values.T @ (rule.weights * u.source(rule.points)))
 
@@ -330,14 +359,22 @@ def test_graded_mesh_matches_per_element_reference():
     """build_mesh(3) with x mapped to x^2/2 + x/2 has one element shape per
     column; it gets one table per shape and matches the per-element
     reference."""
-    mesh = build_mesh(3)
-    x, y = mesh.nodes.T
-    mesh = dataclasses.replace(mesh, nodes=np.column_stack([x**2 / 2 + x / 2, y]))
+    mesh = graded(build_mesh(3))
     columns = np.arange(mesh.n_elements) % 3
     groups = [np.unique(columns[idx]).tolist()
               for idx, *_ in fem._shape_groups(mesh, *DEFAULT_ASSEMBLY_RULE)]
     assert sorted(groups) == [[0], [1], [2]]
     assert_matches_per_element_reference(mesh)
+
+
+@pytest.mark.parametrize("family", SINGLE_VALENCE)
+@pytest.mark.parametrize("grade", [False, True], ids=["uniform", "graded"])
+def test_single_valence_meshes_match_per_element_reference(family, grade):
+    """Assembly and error norms take the valence from the element table:
+    meshes of 4-node squares and of triangles, uniform and graded, match
+    the per-element reference."""
+    mesh = SINGLE_VALENCE[family](3)
+    assert_matches_per_element_reference(graded(mesh) if grade else mesh)
 
 
 def test_similar_elements_of_different_sizes_stay_apart():
@@ -382,6 +419,40 @@ def test_non_convex_element_named():
         assemble(dented, field_x2())
     with pytest.raises(NonConvex, match=msg):
         solution_errors(dented, np.zeros(mesh.n_nodes), field_x2())
+
+
+def _set(table, index, value):
+    out = table.copy()
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("field, edit, msg", [
+    pytest.param("elements", lambda t: _set(t, (3, 2), 21),
+                 r"^element 3: node index 21 outside \[0, 21\)$", id="element-past-end"),
+    pytest.param("elements", lambda t: _set(t, (1, 0), -1),
+                 r"^element 1: node index -1 outside \[0, 21\)$", id="element-negative"),
+    pytest.param("elements", lambda t: t.astype(float),
+                 r"^element table holds float64, not integer", id="element-float"),
+    pytest.param("elements", lambda t: t[:, :2],
+                 r"^elements must be an \(E, k\) table with k >= 3", id="two-node-elements"),
+    pytest.param("elements", lambda t: t.ravel(),
+                 r"^elements must be an \(E, k\) table with k >= 3", id="flat-element-table"),
+    pytest.param("boundary_nodes", lambda t: _set(t, 5, 21),
+                 r"^boundary entry 5: node index 21 outside", id="boundary-past-end"),
+    pytest.param("boundary_nodes", lambda t: _set(t, 0, -2),
+                 r"^boundary entry 0: node index -2 outside", id="boundary-negative"),
+    pytest.param("boundary_nodes", lambda t: t.astype(float),
+                 r"^boundary entry table holds float64", id="boundary-float"),
+])
+def test_malformed_mesh_named(field, edit, msg):
+    """A mesh table that is not integer, not (E, k) with k >= 3, or holds an
+    index outside [0, n_nodes) raises PolygonError on construction, naming
+    the element or boundary entry and the index; a negative index is not
+    read from the end of the node array."""
+    mesh = build_mesh(2)
+    with pytest.raises(PolygonError, match=msg):
+        dataclasses.replace(mesh, **{field: edit(getattr(mesh, field))})
 
 
 # ---------------------------------------------------------------------- solve
@@ -475,6 +546,17 @@ def test_affine_patch_reproduced_at_nodes(n):
     assert h1 < 1e-9
 
 
+@pytest.mark.parametrize("family", SINGLE_VALENCE)
+def test_affine_patch_on_single_valence_meshes(family):
+    """The patch test on graded meshes of squares and of triangles: an
+    affine field is reproduced at the nodes and both error norms vanish."""
+    u = field_linear(2.0, -3.0, 0.5)
+    mesh = graded(SINGLE_VALENCE[family](4))
+    coeffs = solve(assemble(mesh, u))
+    assert np.abs(coeffs - u.value(mesh.nodes)).max() < 1e-12
+    assert max(solution_errors(mesh, coeffs, u)) < 1e-12
+
+
 def test_linear_study_flags_rates():
     """Errors at roundoff level carry no rate information, so the report
     flags them instead of printing log2 of noise."""
@@ -540,6 +622,20 @@ def test_l2_converges_at_second_order(study):
 def test_h1_converges_at_first_order(study):
     assert_allclose(study.h1_rates, [1.071, 1.030, 1.013], atol=5e-3)
     assert study.h1_rates[-1] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("family", SINGLE_VALENCE)
+def test_single_valence_rates(family):
+    """sin(x)e^y from n = 16 to 32 on squares and on triangles converges
+    at the same rates as on the octagons: 2 in L2, 1 in H1."""
+    u = field_sin_exp()
+    errors = []
+    for n in (16, 32):
+        mesh = SINGLE_VALENCE[family](n)
+        errors.append(solution_errors(mesh, solve(assemble(mesh, u)), u))
+    l2_rate, h1_rate = np.log2(np.divide(*errors))
+    assert l2_rate == pytest.approx(2.0, abs=0.05)
+    assert h1_rate == pytest.approx(1.0, abs=0.05)
 
 
 def test_error_quadrature_refinement_insensitive(monkeypatch):

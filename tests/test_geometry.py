@@ -417,9 +417,24 @@ def test_constants_unit_diameter_square():
 def test_alpha_star_combines_angle_and_radius_terms():
     for apex in (1.5, 1.1, 1.01):
         gc = geometric_constants(apex_pentagon(apex))
-        expected = max(np.pi - gc.beta_min / 2.0, 2.0 * np.arctan(1.0 / gc.h_star))
+        expected = max(np.pi - gc.beta_min / 2.0, 2.0 * np.arctan(gc.diameter / gc.h_star))
         assert gc.alpha_star == pytest.approx(expected, rel=1e-15)
         assert np.pi / 2.0 < gc.alpha_star < np.pi
+
+
+def test_alpha_star_is_per_unit_diameter():
+    """alpha* reads h* per unit diameter, so apex_pentagon(1.5) scaled by
+    2^j keeps it bit for bit and scaled by 10^k within 1e-15, across the
+    float range; it is the alpha* of the unit-diameter copy."""
+    p = apex_pentagon(1.5)
+    want = geometric_constants(p).alpha_star
+    unit = geometric_constants(normalize_to_unit_diameter(p)).alpha_star
+    assert unit == pytest.approx(want, rel=1e-15)
+    for j in range(-1000, 1001, 25):
+        assert geometric_constants(Polygon(np.ldexp(p.vertices, j))).alpha_star == want, j
+    for k in range(-300, 301, 5):
+        got = geometric_constants(Polygon(p.vertices * 10.0**k)).alpha_star
+        assert got == pytest.approx(want, rel=1e-15), k
 
 
 def test_constants_sane_on_suite(polygon_suite):
