@@ -138,19 +138,51 @@ def _shape_groups(mesh: Mesh, degree: int, subdivision: int):
         yield idx, origins[idx], rule, mvc_gradients(ref, rule.points)
 
 
+def _slices(n_elements: int, n_q: int):
+    """Consecutive runs of elements holding at most _CHUNK_POINTS
+    quadrature points, and one element per run when a single element
+    holds more."""
+    step = max(1, _CHUNK_POINTS // n_q)
+    return (slice(start, start + step) for start in range(0, n_elements, step))
+
+
 def _chunks(origins: np.ndarray, points: np.ndarray):
-    """Yield (element slice, that chunk's quadrature points as (m, 2)) for
-    consecutive runs of elements holding at most _CHUNK_POINTS points, and
-    one element per chunk when a single element holds more.
+    """Yield (element slice, that chunk's quadrature points as (m, 2)) over
+    _slices.
 
     Each point is its element's origin plus a reference point, added as
     flat rows so numpy does not loop over a length-2 innermost axis."""
     n_q = points.shape[0]
-    step = max(1, _CHUNK_POINTS // n_q)
     flat = points.reshape(1, -1)
-    for start in range(0, origins.shape[0], step):
-        sl = slice(start, start + step)
+    for sl in _slices(origins.shape[0], n_q):
         yield sl, (np.tile(origins[sl], (1, n_q)) + flat).reshape(-1, 2)
+
+
+def _jets(u: ScalarField, origins: np.ndarray, points: np.ndarray):
+    """Yield (element slice, (values, gradients)) of u at each chunk's
+    quadrature points, as ``u.jet`` on the points of _chunks returns them.
+
+    A field with ``factors`` fx(x) fy(y) is tabulated instead: fx once per
+    distinct origin x and reference point, fy once per distinct origin y,
+    from the same float sums as _chunks; each chunk gathers and multiplies
+    its elements' rows. The tables are used only when they have no more
+    rows than the group has elements (build_mesh(n) needs 2n rows for n²
+    elements), so they never hold more points than the chunks would.
+    """
+    (ux, ix), (uy, iy) = (np.unique(origins[:, a], return_inverse=True) for a in (0, 1))
+    if u.factors is None or ux.size + uy.size > origins.shape[0]:
+        for sl, pts in _chunks(origins, points):
+            yield sl, u.jet(pts)
+        return
+    f, df = u.factors[0](ux[:, None] + points[:, 0])
+    g, dg = u.factors[1](uy[:, None] + points[:, 1])
+    for sl in _slices(origins.shape[0], points.shape[0]):
+        fe, ge = f[ix[sl]], g[iy[sl]]
+        # interleaved [f' g, f g'] written in place: np.stack would copy both
+        grad = np.empty(fe.shape + (2,))
+        np.multiply(df[ix[sl]], ge, out=grad[..., 0])
+        np.multiply(fe, dg[iy[sl]], out=grad[..., 1])
+        yield sl, (fe * ge, grad)
 
 
 def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
@@ -253,8 +285,12 @@ def solve(system: LinearSystem, max_iter: int | None = None) -> np.ndarray:
 
 def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tuple[float, float]:
     """Quadrature L2 and H1-seminorm errors of the discrete solution, by
-    DEFAULT_ERROR_RULE."""
+    DEFAULT_ERROR_RULE; coeffs holds one value per mesh node. A field with
+    ``factors`` is read from per-group tables of its factors (see _jets),
+    any other through one ``jet`` call per chunk of elements."""
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (mesh.n_nodes,):
+        raise ValueError(f"coeffs has shape {coeffs.shape}, not ({mesh.n_nodes},), one per node")
     l2_sq = 0.0
     h1_sq = 0.0
     for idx, origins, rule, basis in _shape_groups(mesh, *DEFAULT_ERROR_RULE):
@@ -265,10 +301,9 @@ def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tup
         # the jet's gradient reshaped per element, so gradients are one matmul
         grad_t = basis.gradients.transpose(1, 0, 2).reshape(mesh.elements.shape[1], 2 * n_q)
         w2 = np.repeat(w, 2)
-        for sl, pts in _chunks(origins, rule.points):
+        for sl, (uv, ug) in _jets(u_exact, origins, rule.points):
             nodal = coeffs[mesh.elements[idx[sl]]]
             n_e = nodal.shape[0]
-            uv, ug = u_exact.jet(pts)
             du = uv.reshape(n_e, n_q) - nodal @ phi_t
             dg = ug.reshape(n_e, 2 * n_q) - nodal @ grad_t
             l2_sq += float(np.sum(du * du @ w))

@@ -8,7 +8,7 @@ of vertex values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -122,6 +122,12 @@ class ScalarField:
     ``gradient`` (m, 2), ``hessian`` (m, 2, 2) and ``laplacian`` (m,);
     ``jet`` returns value and gradient together, sharing their terms.
     ``source`` is ``-laplacian``, so a Poisson load needs no Hessian.
+
+    ``factors`` is None or a pair ``(fx, fy)`` of 1-D jets with
+    u(x, y) = fx(x) fy(y): each takes an array of coordinates and returns
+    the factor's values and derivatives, so that ``jet`` is
+    ``(f g, [f' g, f g'])``. A caller can then tabulate u on a tensor
+    grid from one evaluation per grid line.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -130,6 +136,7 @@ class ScalarField:
     laplacian: Callable[[np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: str = "field"
+    factors: tuple[Callable, Callable] | None = None
 
     def source(self, points: np.ndarray) -> np.ndarray:
         return -self.laplacian(_batch(points))
@@ -184,12 +191,18 @@ def field_y2() -> ScalarField:
 def field_sin_exp() -> ScalarField:
     """u = sin(x) e^y; harmonic, so its Poisson source vanishes."""
 
+    def fx(x):
+        return np.sin(x), np.cos(x)
+
+    def fy(y):
+        ey = np.exp(y)
+        return ey, ey
+
     def jet(x):
         x = _batch(x)
-        ey = np.exp(x[:, 1])
-        v = np.sin(x[:, 0]) * ey
-        # du/dy = u
-        return v, np.stack([np.cos(x[:, 0]) * ey, v], axis=1)
+        f, df = fx(x[:, 0])
+        g, dg = fy(x[:, 1])
+        return f * g, np.stack([df * g, f * dg], axis=1)
 
     def hess(x):
         x = _batch(x)
@@ -200,7 +213,8 @@ def field_sin_exp() -> ScalarField:
     def laplacian(x):
         return np.zeros(_batch(x).shape[0])
 
-    return _from_jet(jet, hess, laplacian, "sin(x)e^y")
+    field = _from_jet(jet, hess, laplacian, "sin(x)e^y")
+    return replace(field, factors=(fx, fy))
 
 
 def standard_fields() -> list[ScalarField]:

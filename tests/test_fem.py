@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -271,26 +272,94 @@ def _refuse(x):
 @pytest.mark.parametrize("field", [field_x2, field_sin_exp])
 def test_hot_paths_use_laplacian_and_jet_only(field):
     """assemble takes its load from the laplacian, never a hessian, and
-    solution_errors makes one jet call per chunk and no value or gradient
-    call; both give bit-identical results to the unguarded field."""
-    mesh = build_mesh(4)
+    solution_errors makes no value or gradient call. It makes one jet call
+    per chunk for x^2; for the product field sin(x)e^y it makes no jet
+    call and two factor calls per shape group, one per distinct origin
+    coordinate table. Guarded fields give bit-identical results to the
+    unguarded field."""
     u = field()
-    system = assemble(mesh, u)
-    no_hessian = dataclasses.replace(u, hessian=_refuse)
-    assert np.array_equal(assemble(mesh, no_hessian).rhs, system.rhs)
+    for mesh in (build_mesh(4), triangle_mesh(4)):
+        system = assemble(mesh, u)
+        no_hessian = dataclasses.replace(u, hessian=_refuse)
+        assert np.array_equal(assemble(mesh, no_hessian).rhs, system.rhs)
 
-    coeffs = solve(system)
-    jet_calls = []
+        coeffs = solve(system)
+        calls = []
 
-    def counted_jet(x):
-        jet_calls.append(len(x))
-        return u.jet(x)
+        def counted(name, fn):
+            def wrapper(x):
+                calls.append((name, x.shape))
+                return fn(x)
+            return wrapper
 
-    jet_only = dataclasses.replace(u, value=_refuse, gradient=_refuse, jet=counted_jet)
-    assert solution_errors(mesh, coeffs, jet_only) == solution_errors(mesh, coeffs, u)
-    (_, origins, rule, _), = fem._shape_groups(mesh, *DEFAULT_ERROR_RULE)
-    chunks = [len(pts) for _, pts in fem._chunks(origins, rule.points)]
-    assert jet_calls == chunks
+        groups = list(fem._shape_groups(mesh, *DEFAULT_ERROR_RULE))
+        if u.factors is None:
+            guarded = dataclasses.replace(u, value=_refuse, gradient=_refuse,
+                                          jet=counted("jet", u.jet))
+            expected = [("jet", pts.shape) for _, origins, rule, _ in groups
+                        for _, pts in fem._chunks(origins, rule.points)]
+        else:
+            fx, fy = u.factors
+            guarded = dataclasses.replace(u, value=_refuse, gradient=_refuse, jet=_refuse,
+                                          factors=(counted("fx", fx), counted("fy", fy)))
+            # build_mesh(4) is one group, triangle_mesh(4) two; each group's
+            # origins have 4 distinct x and 4 distinct y
+            expected = [(name, (4, rule.weights.size))
+                        for _, _, rule, _ in groups for name in ("fx", "fy")]
+        assert solution_errors(mesh, coeffs, guarded) == solution_errors(mesh, coeffs, u)
+        assert calls == expected
+
+
+def test_factored_and_jet_paths_are_bit_identical(monkeypatch):
+    """The factor tables of sin(x)e^y give the same floats as its jet:
+    (l2, h1) are bit-identical with and without factors on octagon meshes
+    n = 1..16 and 32, the graded octagon mesh, uniform and graded square
+    and triangle meshes, and 7-element chunks that leave a ragged final
+    chunk."""
+    u = field_sin_exp()
+    plain = dataclasses.replace(u, factors=None)
+
+    def assert_identical(mesh):
+        coeffs = u.value(mesh.nodes)
+        assert solution_errors(mesh, coeffs, u) == solution_errors(mesh, coeffs, plain)
+
+    meshes = [build_mesh(n) for n in [*range(1, 17), 32]] + [graded(build_mesh(3))]
+    meshes += [make(n) for make in SINGLE_VALENCE.values() for n in (1, 3)]
+    meshes += [graded(make(3)) for make in SINGLE_VALENCE.values()]
+    for mesh in meshes:
+        assert_identical(mesh)
+    mesh = build_mesh(5)
+    q_err = next(fem._shape_groups(mesh, *DEFAULT_ERROR_RULE))[2].weights.size
+    monkeypatch.setattr(fem, "_CHUNK_POINTS", 7 * q_err)
+    elements = range(mesh.n_elements)
+    assert [len(elements[sl]) for sl in fem._slices(mesh.n_elements, q_err)] == [7, 7, 7, 4]
+    assert_identical(mesh)
+
+
+def test_factor_tables_need_repeated_origin_coordinates():
+    """build_mesh(4) turned by 30 degrees is still translates of one
+    octagon, but no two origins share an x or a y, so factor tables would
+    hold a row per element: sin(x)e^y is read through its jet instead,
+    and the factors are never called."""
+    mesh = build_mesh(4)
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    turned = dataclasses.replace(mesh, nodes=mesh.nodes @ np.array([[c, s], [-s, c]]))
+    u = field_sin_exp()
+    coeffs = u.value(turned.nodes)
+    no_tables = dataclasses.replace(u, factors=(_refuse, _refuse))
+    assert solution_errors(turned, coeffs, no_tables) == solution_errors(turned, coeffs, u)
+
+
+@pytest.mark.parametrize("shape", [(26,), (20,), (21, 2)])
+def test_coefficient_shape_checked(shape):
+    """Coefficients must be one value per node: build_mesh(2) has 21 nodes,
+    and a long, short or 2-D vector raises a ValueError naming both
+    shapes."""
+    mesh = build_mesh(2)
+    assert mesh.n_nodes == 21
+    msg = re.escape(f"coeffs has shape {shape}, not (21,)")
+    with pytest.raises(ValueError, match=msg):
+        solution_errors(mesh, np.zeros(shape), field_sin_exp())
 
 
 def test_ragged_final_chunk(monkeypatch):
