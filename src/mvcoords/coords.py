@@ -50,7 +50,7 @@ def _edge_limit_values(p: Polygon, X: np.ndarray) -> np.ndarray:
     lam = np.zeros((p.n, m))
     k = np.argmin(p.edge_distances(X), axis=0)
     v = p.vertices[k] * p.scale
-    e = p.edge_vectors[k] * p.scale
+    e = p._edges[k]
     t = np.clip(np.sum((X * p.scale - v) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
     cols = np.arange(m)
     lam[k, cols] = 1.0 - t
@@ -112,14 +112,12 @@ def _mvc_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
 def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
     area = 0.5 * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
     area_prev = np.roll(area, 1, axis=0)
-    e = p.edge_vectors * g.scale  # frame edges, in the units of g
-    e_prev = np.roll(e, 1, axis=0)
-    corner = 0.5 * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0])
+    corner = 0.5 * np.roll(p._turn, 1)  # frame units, as are those of g
     w = corner[:, None] / (area_prev * area)
     gw = None
     if gradients:
         # grad A_i is constant: half the CCW normal of edge i, as (2, n, 1)
-        ga = (0.5 * _rot_ccw(e)).T[:, :, None]
+        ga = (0.5 * _rot_ccw(p._edges)).T[:, :, None]
         ratio = ga / area + np.roll(ga, 1, axis=1) / area_prev
         gw = -w * ratio
     return _normalized(w, gw, g.scale)

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .coords import mvc_gradients
 from .errors import NoConvergence, PolygonError
-from .geometry import Polygon
+from .geometry import Polygon, _frame_table
 from .interp import ScalarField, fan_quadrature, field_sin_exp
 
 DEFAULT_ASSEMBLY_RULE = (8, 1)
@@ -39,10 +39,11 @@ _CHUNK_POINTS = 2**15
 class Mesh:
     """Nodes, CCW element loops of one valence, and boundary node indices.
 
-    ``elements`` is an integer (E, k) table with k >= 3, row e the node
-    loop of element e; ``boundary_nodes`` lists the Dirichlet nodes. Every
-    index must lie in [0, n_nodes): a table that breaks this raises
-    PolygonError naming the element or boundary entry and the index.
+    ``nodes`` is a finite (N, 2) float array, ``elements`` an integer (E, k)
+    table with k >= 3, row e the node loop of element e; ``boundary_nodes``
+    lists the Dirichlet nodes. Every index must lie in [0, n_nodes). A bad
+    array raises PolygonError naming its shape, its first non-finite node,
+    or the element or boundary entry and the index.
     """
 
     nodes: np.ndarray
@@ -50,6 +51,12 @@ class Mesh:
     boundary_nodes: np.ndarray
 
     def __post_init__(self) -> None:
+        nodes = self.nodes
+        if nodes.ndim != 2 or nodes.shape[1] != 2 or not np.issubdtype(nodes.dtype, np.floating):
+            raise PolygonError(f"nodes are {nodes.dtype} {nodes.shape}, not float (N, 2)")
+        bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+        if bad.size:
+            raise PolygonError(f"node {bad[0]} is not finite: {nodes[bad[0]].tolist()}")
         el = self.elements
         if el.ndim != 2 or el.shape[1] < 3:
             raise PolygonError(f"elements must be an (E, k) table with k >= 3, not {el.shape}")
@@ -126,8 +133,7 @@ def _shape_groups(mesh: Mesh, degree: int, subdivision: int):
     key = np.rint(local.reshape(mesh.n_elements, -1) / tol)
     _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
     for g, e in enumerate(first):
-        x, y = local[e].T
-        if x @ np.roll(y, -1) < np.roll(x, -1) @ y:
+        if _frame_table(local[e])[3] < 0.0:  # twice the signed area
             raise PolygonError(f"element {e}: clockwise vertex loop")
         try:
             ref = Polygon(local[e])
@@ -210,8 +216,8 @@ def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
     bnd = mesh.boundary_nodes
     free = np.setdiff1d(np.arange(n_nodes), bnd)
     ub = u_exact.value(mesh.nodes[bnd])
-    k_ff = k_full[free][:, free].tocsr()
-    k_fb = k_full[free][:, bnd]
+    k_free = k_full[free]
+    k_ff, k_fb = k_free[:, free].tocsr(), k_free[:, bnd]
     rhs = b_full[free] - k_fb @ ub
     return LinearSystem(
         matrix=k_ff,
@@ -242,8 +248,6 @@ def solve(system: LinearSystem, max_iter: int | None = None) -> np.ndarray:
     n_free = b.shape[0]
     coeffs = np.empty(system.n_nodes)
     coeffs[system.boundary_index] = system.boundary_values
-    if n_free == 0:
-        return coeffs
     if max_iter is None:
         max_iter = 10 * n_free
     diag = a.diagonal()

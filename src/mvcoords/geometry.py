@@ -49,7 +49,9 @@ class Polygon:
         if not np.all(np.isfinite(v)):
             raise PolygonError("vertices must be finite")
 
-        diameter = float(np.max(_pairwise_distances(v)))
+        i, j = np.triu_indices(len(v), k=1)
+        gap = np.hypot(*(v[i] - v[j]).T)  # no overflow or underflow far from unit size
+        diameter = float(np.max(gap))
         if diameter < np.finfo(float).tiny:  # zero, or subnormal: no finite frame scale
             raise DegenerateEdge(f"all vertices coincide, or nearly: diameter {diameter:g}")
 
@@ -57,14 +59,11 @@ class Polygon:
         # [1, 2), where no product of two lengths leaves the float range.
         s = self._scale = float(np.ldexp(1.0, 1 - np.frexp(diameter)[1]))
         u, unit = v * s, diameter * s
-        edges = np.roll(u, -1, axis=0) - u
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        edges, lengths, turn, area2 = _frame_table(u)
         if np.min(lengths) <= EPS_GEOM * unit:
             raise DegenerateEdge(
                 f"edge {int(np.argmin(lengths))} shorter than {EPS_GEOM:g} * diameter"
             )
-
-        area2 = _twice_area(u)
         if abs(area2) <= EPS_GEOM * unit * unit:
             raise NonConvex("polygon has (numerically) zero area")
 
@@ -72,17 +71,21 @@ class Polygon:
         # dimensionless. Zero turns (interior angle pi) are allowed. Signed by
         # the orientation, the sines of the loop as given equal those of the
         # reversed loop bit for bit, and a reflex vertex keeps its input index.
-        cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
-        sine = np.copysign(1.0, area2) * cross / (lengths * np.roll(lengths, -1))
+        sine = np.copysign(1.0, area2) * turn / (lengths * np.roll(lengths, -1))
         if np.min(sine) < -EPS_GEOM:
             raise NonConvex(f"reflex turn at vertex {int((np.argmin(sine) + 1) % len(v))}")
 
         if area2 < 0.0:
             warnings.warn("clockwise vertex loop reversed", WrongOrientation, stacklevel=2)
             v = v[::-1].copy()
+            edges, lengths, turn, area2 = _frame_table(u[::-1])
+            sine = np.roll(sine[::-1], -2)  # turn k of the reversed loop is input turn n - 3 - k
         v.setflags(write=False)
         self._vertices = v
         self._diameter = diameter
+        self._d_min = float(np.min(gap))
+        self._edges, self._lengths, self._turn, self._area2 = edges, lengths, turn, area2
+        self._sine = sine
 
     @property
     def vertices(self) -> np.ndarray:
@@ -95,18 +98,17 @@ class Polygon:
     @cached_property
     def edge_vectors(self) -> np.ndarray:
         """(n, 2) array; row k is vertex[k+1] - vertex[k], cyclically."""
-        return np.roll(self._vertices, -1, axis=0) - self._vertices
+        return self._edges / self._scale
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
-        e = self.edge_vectors
-        return np.hypot(e[:, 0], e[:, 1])
+        return self._lengths / self._scale
 
     @cached_property
     def edge_lines(self) -> tuple[np.ndarray, np.ndarray]:
         """Inward unit edge normals n_k, shape (n, 2), and offsets
         n_k . v_k, shape (n,): the polygon is {x : n_k . x >= offset_k}."""
-        normal = _rot_ccw(self.edge_vectors) / self.edge_lengths[:, None]
+        normal = _rot_ccw(self._edges) / self._lengths[:, None]
         return normal, np.sum(normal * self._vertices, axis=1)
 
     @property
@@ -121,7 +123,7 @@ class Polygon:
 
     @cached_property
     def area(self) -> float:
-        return 0.5 * _twice_area(self._vertices * self._scale) / self._scale / self._scale
+        return 0.5 * self._area2 / self._scale / self._scale
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -132,15 +134,13 @@ class Polygon:
     def interior_angles(self) -> np.ndarray:
         """Interior angle at each vertex, in (0, pi].
 
-        Uses atan2 of cross/dot so angles at exactly pi are well conditioned;
-        tiny negative crosses from roundoff are clamped to zero.
+        Uses atan2 of the turn cross and dot of the frame edges into and out
+        of each vertex, so angles at exactly pi are well conditioned; tiny
+        negative crosses from roundoff are clamped to zero.
         """
-        v = self._vertices * self._scale
-        a = np.roll(v, 1, axis=0) - v
-        b = np.roll(v, -1, axis=0) - v
-        cross = np.maximum(b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0], 0.0)
-        dot = np.sum(a * b, axis=1)
-        return np.arctan2(cross, dot)
+        e = self._edges
+        dot = np.sum(np.roll(e, 1, axis=0) * e, axis=1)
+        return np.arctan2(np.maximum(np.roll(self._turn, 1), 0.0), -dot)
 
     @cached_property
     def inradius(self) -> float:
@@ -182,12 +182,12 @@ class Polygon:
             sd[finite] = self.signed_boundary_distance(X[finite])
             return sd
         v = self._vertices
-        e = self.edge_vectors * self._scale
+        e = self._edges
         # (n, m) planes of x - v_k, one row per edge
         dx = X[:, 0] - v[:, 0, None]
         dy = X[:, 1] - v[:, 1, None]
         cross = e[:, 0, None] * dy - e[:, 1, None] * dx
-        return np.min(cross / (self.edge_lengths * self._scale)[:, None], axis=0)
+        return np.min(cross / self._lengths[:, None], axis=0)
 
     def edge_distances(self, points) -> np.ndarray:
         """Euclidean distance from each point to each closed edge segment.
@@ -201,7 +201,7 @@ class Polygon:
         dx = X[:, 0] - v[:, 0, None]
         dy = X[:, 1] - v[:, 1, None]
         ex, ey = e[:, 0, None], e[:, 1, None]
-        fx, fy = ex * self._scale, ey * self._scale  # frame edges: one factor of each product
+        fx, fy = self._edges.T[..., None]  # frame edges: one factor of each product
         tt = np.clip((dx * fx + dy * fy) / (ex * fx + ey * fy), 0.0, 1.0)
         return np.hypot(X[:, 0] - (v[:, 0, None] + tt * ex), X[:, 1] - (v[:, 1, None] + tt * ey))
 
@@ -231,18 +231,16 @@ def save_polygon(p: Polygon, path) -> None:
         fh.write(json.dumps({"vertices": p.vertices.tolist()}))
 
 
-def _twice_area(v: np.ndarray) -> float:
-    """Twice the signed area of an (n, 2) vertex loop: the shoelace sum
-    taken about vertex 0, so a translate far from the origin keeps it."""
-    d = v[1:] - v[0]
-    return float(np.sum(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]))
-
-
-def _pairwise_distances(v: np.ndarray) -> np.ndarray:
-    """Distances between all vertex pairs i < j of an (n, 2) array."""
-    i, j = np.triu_indices(len(v), k=1)
-    dx, dy = (v[i] - v[j]).T
-    return np.hypot(dx, dy)  # no overflow or underflow far from unit size
+def _frame_table(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Edges e_k = u_{k+1} - u_k of an (n, 2) vertex loop u, their lengths,
+    the turn crosses e_k x e_{k+1} (at vertex k + 1), and twice the signed
+    area: the shoelace sum taken about vertex 0, so a translate far from the
+    origin keeps it."""
+    e = np.roll(u, -1, axis=0) - u
+    turn = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+    d = u[1:] - u[0]
+    area2 = float(np.sum(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]))
+    return e, np.hypot(e[:, 0], e[:, 1]), turn, area2
 
 
 def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
@@ -253,24 +251,21 @@ def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
     at the point c and time t solving n_j . c - t = b_j for those three
     lines. Removing the edge that vanishes first changes only its
     neighbours' times, and the common point of the last three lines is the
-    centre. A run of collinear edges is one line.
+    centre. The normals n_j are those of ``edge_lines``. A run of collinear
+    edges is one line: edge k joins the line of edge k - 1 when the sine of
+    the turn between them, as the convexity test in ``Polygon`` took it, is
+    at most EPS_GEOM.
 
     Near-ties can leave a nearly parallel pair among the last three lines,
     whose common point is then ill conditioned (the flat apex pentagon
     does), so every vanishing point is a candidate centre and the one
     deepest inside wins: a true inscribed circle, largest up to roundoff.
-    Working at unit diameter about the vertex centroid makes the result
-    similarity invariant.
+    Working in the frame of ``p.scale`` about the vertex centroid makes the
+    result similarity invariant.
     """
-    u = (p.vertices - p.centroid) / p.diameter
-    e = np.roll(u, -1, axis=0) - u
-    normal = _rot_ccw(e) / np.hypot(e[:, 0], e[:, 1])[:, None]
-    offset = np.sum(normal * u, axis=1)
-    # edge k starts a new line unless it turns from edge k - 1 by a sine
-    # of at most EPS_GEOM (normals turn with their edges)
-    before = np.roll(normal, 1, axis=0)
-    sine = before[:, 0] * normal[:, 1] - before[:, 1] * normal[:, 0]
-    line = np.flatnonzero(sine > EPS_GEOM)
+    normal = p.edge_lines[0]
+    offset = np.sum(normal * ((p.vertices - p.centroid) * p.scale), axis=1)
+    line = np.flatnonzero(np.roll(p._sine, 1) > EPS_GEOM)
     rows = np.column_stack([normal[line], -np.ones(len(line))])
     rhs = offset[line]
     prev = np.roll(np.arange(len(line)), 1)
@@ -295,12 +290,12 @@ def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
     # of the final three lines for the three that are left
     depth = (event[:, :2] @ normal.T - offset).min(axis=1)
     best = int(np.argmax(depth))
-    return p.centroid + p.diameter * event[best, :2], float(depth[best]) * p.diameter
+    return p.centroid + event[best, :2] / p.scale, float(depth[best]) / p.scale
 
 
 def min_vertex_distance(p: Polygon) -> float:
     """Smallest distance between any two vertices (not only edge ends)."""
-    return float(np.min(_pairwise_distances(p.vertices)))
+    return p._d_min
 
 
 @dataclass(frozen=True)
@@ -359,7 +354,7 @@ def compute_hstar(p: Polygon) -> float:
     distance, attained at the incenter, so it is the inradius 2A / P.
     """
     if p.n == 3:  # 2A / P, formed in the frame and scaled back
-        return _twice_area(p.vertices * p.scale) / float(p.edge_lengths.sum() * p.scale) / p.scale
+        return p._area2 / float(p._lengths.sum()) / p.scale
     dist = p.edge_distances(p.vertices)
     k = np.arange(p.n)
     dist[k, k] = dist[k - 1, k] = np.inf  # vertex k ends edges k - 1 and k

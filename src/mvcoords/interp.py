@@ -251,20 +251,21 @@ def estimate_ratio(p: Polygon, u: ScalarField, rule: QuadratureRule) -> float:
     H1 norm) keeps the ratio exactly invariant under uniform scaling of
     the polygon-and-field pair.
 
-    Fields with (numerically) vanishing H2 seminorm return 0 when the
-    error also vanishes, as for linear fields; otherwise the ratio is
-    undefined and DegenerateDenominator is raised.
+    A field whose H2 seminorm is exactly zero, as every affine field's is,
+    returns 0 when its H1 error is roundoff; otherwise the ratio is
+    undefined and DegenerateDenominator is raised. Neither test depends on
+    the polygon's size.
     """
     _, err = error_norms(p, u, rule)
     h2 = h2_seminorm(u, rule)
-    denom = p.diameter * h2
-    if h2 < 1e-14:
-        # linear fields carry about 1e-12 of gradient roundoff in the H1
-        # residual; anything orders of magnitude above that means the
+    if h2 == 0.0:
+        # an affine field carries gradient roundoff of about 1e-12 of its
+        # nodal values in the H1 residual (a 2D H1 seminorm does not change
+        # with size); anything orders of magnitude above that means the
         # field's hessian disagrees with its value/gradient callables
-        if err <= 1e-9 * max(1.0, float(np.max(np.abs(u.value(p.vertices))))):
+        if err <= 1e-9 * float(np.max(np.abs(u.value(p.vertices)))):
             return 0.0
         raise DegenerateDenominator(
             f"H2 seminorm {h2:g} vanishes but the H1 error {err:g} does not"
         )
-    return float(err / denom)
+    return float(err / (p.diameter * h2))

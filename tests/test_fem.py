@@ -513,12 +513,21 @@ def _set(table, index, value):
                  r"^boundary entry 0: node index -2 outside", id="boundary-negative"),
     pytest.param("boundary_nodes", lambda t: t.astype(float),
                  r"^boundary entry table holds float64", id="boundary-float"),
+    pytest.param("nodes", lambda t: t.ravel(),
+                 r"^nodes are float64 \(42,\), not float \(N, 2\)$", id="flat-nodes"),
+    pytest.param("nodes", lambda t: np.column_stack([t, t[:, 0]]),
+                 r"^nodes are float64 \(21, 3\), not float \(N, 2\)$", id="three-columns"),
+    pytest.param("nodes", lambda t: _set(t, (7, 1), np.inf),
+                 r"^node 7 is not finite: \[0\.5, inf\]$", id="inf-node"),
+    pytest.param("nodes", lambda t: _set(t, (4, 0), np.nan),
+                 r"^node 4 is not finite: \[nan, 0\.5\]$", id="nan-node"),
 ])
 def test_malformed_mesh_named(field, edit, msg):
-    """A mesh table that is not integer, not (E, k) with k >= 3, or holds an
-    index outside [0, n_nodes) raises PolygonError on construction, naming
-    the element or boundary entry and the index; a negative index is not
-    read from the end of the node array."""
+    """A node array that is not a finite (N, 2) float array, or a mesh table
+    that is not integer, not (E, k) with k >= 3, or holds an index outside
+    [0, n_nodes) raises PolygonError on construction, naming the array's
+    shape, the first non-finite node, or the element or boundary entry and
+    the index; a negative index is not read from the end of the node array."""
     mesh = build_mesh(2)
     with pytest.raises(PolygonError, match=msg):
         dataclasses.replace(mesh, **{field: edit(getattr(mesh, field))})

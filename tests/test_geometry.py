@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
+from mvcoords.audit import random_convex_polygon
+from mvcoords.coords import OK, _edge_limit_values, _normalized, evaluate, interior_coordinates
 from mvcoords.errors import DegenerateEdge, NonConvex, PolygonError, WrongOrientation
 from mvcoords.geometry import (
     Polygon,
+    _frame_table,
     _inscribed_circle,
+    _rot_ccw,
     apex_pentagon,
     compute_hstar,
     geometric_constants,
@@ -583,3 +588,133 @@ def test_file_round_trip(tmp_path):
     save_polygon(p, path)
     q = load_polygon(path)
     assert_allclose(q.vertices, p.vertices, rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------- frame table
+# Polygon keeps the edges, lengths, turn crosses and twice-area that its
+# validation computes in the frame, for the stored counterclockwise loop.
+# The references below compute each quantity read from that table directly
+# from the stored vertices. A table kept for the input loop of a clockwise
+# polygon breaks the orientation tests; a wrong index shift breaks the
+# references.
+
+def _frame_cases():
+    """(loop, scale) cases at 2^j: random polygons, some with a vertex
+    inserted mid-edge (an interior angle of pi, where the inradius merges
+    collinear edges), and random triangles."""
+    rng = np.random.default_rng(2020)
+    loops = [random_convex_polygon(rng).vertices for _ in range(12)]
+    for loop in loops[:4]:
+        k = int(rng.integers(len(loop)))
+        loops.append(np.insert(loop, k + 1, 0.5 * (loop[k] + loop[(k + 1) % len(loop)]), axis=0))
+    for _ in range(8):
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))
+        loops.append(rng.uniform(-2.0, 2.0, 2) + np.column_stack([np.cos(t), np.sin(t)]))
+    return [pytest.param(loop, 2.0**j, id=f"loop{i}-2^{j}")
+            for i, loop in enumerate(loops) for j in (-600, 0, 600)]
+
+
+FRAME_CASES = _frame_cases()
+
+
+def _twice_area_reference(u):
+    d = u[1:] - u[0]
+    return float(np.sum(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]))
+
+
+def _interior_points(p, seed):
+    """Convex combinations of the vertices, away from the boundary."""
+    w = np.random.default_rng(seed).dirichlet(np.full(p.n, 2.0), 40)
+    return w @ p.vertices
+
+
+def _wachspress_reference(p, X):
+    g = point_geometry_batch(p, X)
+    area = 0.5 * g.cross
+    area_prev = np.roll(area, 1, axis=0)
+    e = p.edge_vectors * g.scale
+    e_prev = np.roll(e, 1, axis=0)
+    w = 0.5 * (e_prev[:, 0] * e[:, 1] - e_prev[:, 1] * e[:, 0])[:, None] / (area_prev * area)
+    ga = (0.5 * _rot_ccw(e)).T[:, :, None]
+    return _normalized(w, -w * (ga / area + np.roll(ga, 1, axis=1) / area_prev), g.scale)
+
+
+def _edge_limit_reference(p, X):
+    lam = np.zeros((p.n, len(X)))
+    k = np.argmin(p.edge_distances(X), axis=0)
+    v, e = p.vertices[k] * p.scale, p.edge_vectors[k] * p.scale
+    t = np.clip(np.sum((X * p.scale - v) * e, axis=1) / np.sum(e * e, axis=1), 0.0, 1.0)
+    lam[k, np.arange(len(X))] = 1.0 - t
+    lam[(k + 1) % p.n, np.arange(len(X))] += t
+    return lam
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@pytest.mark.parametrize("loop, s", FRAME_CASES)
+def test_clockwise_input_matches_counterclockwise_bit_for_bit(loop, s):
+    """The table of a clockwise input is the table of the reversed loop, so
+    every quantity read from it is that of the counterclockwise input."""
+    ccw = Polygon(s * loop)
+    with pytest.warns(WrongOrientation):
+        cw = Polygon(s * loop[::-1])
+    for name in ("vertices", "edge_vectors", "edge_lengths", "edge_lines", "area",
+                 "interior_angles", "inradius", "diameter", "scale"):
+        a, b = getattr(ccw, name), getattr(cw, name)
+        assert all(map(_same, a, b)) if name == "edge_lines" else _same(a, b), name
+    assert min_vertex_distance(cw) == min_vertex_distance(ccw)
+    assert compute_hstar(cw) == compute_hstar(ccw)
+    assert geometric_constants(cw) == geometric_constants(ccw)
+    X = _interior_points(ccw, 0)
+    flat = np.pi - ccw.interior_angles.max() < 1e-9  # no Wachspress coordinates
+    for kind in ("mvc",) if flat else ("mvc", "wachspress"):
+        a, b = evaluate(ccw, X, kind, True), evaluate(cw, X, kind, True)
+        assert (a.status == OK).all()
+        assert _same(a.values, b.values) and _same(a.gradients, b.gradients), kind
+
+
+@pytest.mark.parametrize("loop, s", FRAME_CASES)
+@pytest.mark.parametrize("clockwise", [False, True])
+def test_frame_table_readers_match_their_reference_formulas(loop, s, clockwise):
+    """Every quantity read from the frame table except the inradius has the
+    bits of the formula it replaced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WrongOrientation)
+        p = Polygon(s * (loop[::-1] if clockwise else loop))
+    v, scale = p.vertices, p.scale
+    e = np.roll(v, -1, axis=0) - v
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    assert _same(p.edge_vectors, e) and _same(p.edge_lengths, lengths)
+    assert _same(p.edge_lines[0], _rot_ccw(e) / lengths[:, None])
+    u = v * scale
+    assert p.area == 0.5 * _twice_area_reference(u) / scale / scale
+    a, b = np.roll(u, 1, axis=0) - u, np.roll(u, -1, axis=0) - u
+    cross = np.maximum(b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0], 0.0)
+    assert _same(p.interior_angles, np.arctan2(cross, np.sum(a * b, axis=1)))
+    i, j = np.triu_indices(p.n, k=1)
+    assert min_vertex_distance(p) == float(np.min(np.hypot(*(v[i] - v[j]).T)))
+    if p.n == 3:
+        hstar = _twice_area_reference(u) / float(lengths.sum() * scale) / scale
+        assert compute_hstar(p) == hstar
+    for loop in (u, u[::-1]):  # fem's orientation test, by the sign of the same twice-area
+        x, y = loop.T
+        assert (_frame_table(loop)[3] < 0.0) == (x @ np.roll(y, -1) < np.roll(x, -1) @ y)
+
+    X = np.concatenate([_interior_points(p, 1), v + 0.5 * e, v - 0.1 * np.roll(e, 1, axis=0)])
+    fe = e * scale
+    dx, dy = X[:, 0] - v[:, 0, None], X[:, 1] - v[:, 1, None]
+    sd = np.min((fe[:, 0, None] * dy - fe[:, 1, None] * dx) / (lengths * scale)[:, None], axis=0)
+    assert _same(p.signed_boundary_distance(X), sd)
+    ex, ey, fx, fy = e[:, 0, None], e[:, 1, None], fe[:, 0, None], fe[:, 1, None]
+    tt = np.clip((dx * fx + dy * fy) / (ex * fx + ey * fy), 0.0, 1.0)
+    dist = np.hypot(X[:, 0] - (v[:, 0, None] + tt * ex), X[:, 1] - (v[:, 1, None] + tt * ey))
+    assert _same(p.edge_distances(X), dist)
+    assert _same(_edge_limit_values(p, X), _edge_limit_reference(p, X))
+    if np.pi - p.interior_angles.max() < 1e-9:
+        return  # no Wachspress coordinates
+    g = point_geometry_batch(p, _interior_points(p, 2))
+    lam, glam = interior_coordinates(p, g, "wachspress", True)
+    want, gwant = _wachspress_reference(p, _interior_points(p, 2))
+    assert _same(lam, want) and _same(glam, gwant)

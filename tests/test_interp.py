@@ -270,6 +270,20 @@ def test_estimate_ratio_scale_invariant():
     assert max(vals) - min(vals) < 1e-9 * vals[0]
 
 
+def test_estimate_ratio_same_at_every_scale(polygon_suite):
+    """A quadratic field's ratio depends on shape alone: at s = 10^k for k
+    in -30..30 it equals the unit-scale ratio (measured drift 5.8e-15). An
+    absolute cutoff on the H2 seminorm once returned 0 for s <= 1e-15."""
+    fields = (field_x2(), field_xy(), field_y2())
+    for v in [apex_pentagon(1.5).vertices] + [p.vertices for p in polygon_suite[:3]]:
+        rule = fan_quadrature(Polygon(v), degree=8, subdivision=1)
+        want = [estimate_ratio(Polygon(v), f, rule) for f in fields]
+        for k in range(-30, 31):
+            q = Polygon(10.0**k * v)
+            rule = fan_quadrature(q, degree=8, subdivision=1)
+            assert_allclose([estimate_ratio(q, f, rule) for f in fields], want, rtol=1e-12)
+
+
 def test_estimate_ratio_bounded_on_suite(polygon_suite):
     ratios = []
     for p in polygon_suite:
