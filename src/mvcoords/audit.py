@@ -9,6 +9,7 @@ seed, so audit reports can be compared byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,15 +42,47 @@ TOL_GRAD_SUM = 1e-9            # |Σ∇λ| and |Σv⊗∇λ - I|
 TOL_FD_MATCH = 1e-6            # analytic vs central differences
 
 
-def ConvexHull(points):
-    """``scipy.spatial.ConvexHull(points)``, importing scipy.spatial on
-    first use: the polygon draw is the package's only user of it, so
-    importing the package does not load it. The function keeps the scipy
-    class's name, which the benchmark tracer rebinds to count draws.
-    """
-    from scipy.spatial import ConvexHull as qhull
+# Shewchuk's bound on the float error of the orientation determinant,
+# relative to |left| + |right| (Discrete Comput. Geom. 18, 1997)
+_TURN_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
-    return qhull(points)
+
+def _turn(a, b, c):
+    """The cross (b - a) x (c - a) of three points given as pairs of floats,
+    exact in sign unless its products underflow: positive when a, b, c turn
+    left. It is the float value when the error bound proves that value's
+    sign, else the exact rational."""
+    left, right = (b[0] - a[0]) * (c[1] - a[1]), (b[1] - a[1]) * (c[0] - a[0])
+    if abs(left - right) > _TURN_ERRBOUND * (abs(left) + abs(right)):
+        return left - right
+    a, b, c = ([Fraction(t) for t in q] for q in (a, b, c))
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def ConvexHull(points: np.ndarray) -> np.ndarray:
+    """Indices of the convex hull vertices of (m, 2) points, counterclockwise
+    from the lexicographically smallest, by Andrew's monotone chain with an
+    exact turn test; collinear and repeated points are dropped.
+
+    It replaces ``scipy.spatial.ConvexHull(points).vertices``: on star draws
+    both give the same vertices in the same cyclic order, but Qhull starts
+    the loop at an end of its first facet, so the chain's polygons are
+    Qhull's with their vertex labels rotated. The name is kept because the
+    benchmark tracer rebinds it to count polygon draws.
+    """
+    order = np.lexsort((points[:, 1], points[:, 0])).tolist()
+    pts = points.tolist()
+    hull = []
+    for sweep in (order, order[::-1]):  # lower chain, then upper
+        chain = []
+        for i in sweep:
+            while len(chain) > 1 and _turn(pts[chain[-2]], pts[chain[-1]], pts[i]) <= 0:
+                chain.pop()  # a right turn, a straight one, or a repeated point
+            chain.append(i)
+        hull += chain[:-1]
+    if pts[order[0]] == pts[order[-1]]:  # one point, maybe repeated
+        hull = order[:1]
+    return np.array(hull)
 
 
 def random_convex_polygon(rng: np.random.Generator) -> Polygon:
@@ -58,8 +91,10 @@ def random_convex_polygon(rng: np.random.Generator) -> Polygon:
     separation bound (> D_STAR).
 
     Vertices are drawn on a random-radius star around the origin and
-    passed through a convex hull; draws failing the vertex-count or
-    quality gates are rejected and retried.
+    passed through :func:`ConvexHull`; draws failing the vertex-count or
+    quality gates are rejected and retried. Up to a cyclic rotation of its
+    vertex rows, every polygon is the one the same loop drew when the hull
+    came from Qhull, so a seed keeps its polygon and sample streams.
     """
     for _ in range(MAX_DRAWS):
         target = int(rng.integers(5, 11))
@@ -67,10 +102,10 @@ def random_convex_polygon(rng: np.random.Generator) -> Polygon:
         rad = rng.uniform(0.4, 1.0, target)
         pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
         hull = ConvexHull(pts)
-        if len(hull.vertices) != target:
+        if len(hull) != target:
             continue
         try:
-            poly = Polygon(pts[hull.vertices])
+            poly = Polygon(pts[hull])
         except PolygonError:
             continue
         poly = normalize_to_unit_diameter(poly)

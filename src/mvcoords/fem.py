@@ -16,14 +16,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coords import mvc_gradients
 from .errors import NoConvergence, PolygonError
 from .geometry import Polygon, _frame_table
 from .interp import ScalarField, fan_quadrature, field_sin_exp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_ASSEMBLY_RULE = (8, 1)
 DEFAULT_ERROR_RULE = (10, 2)
@@ -41,9 +44,9 @@ class Mesh:
 
     ``nodes`` is a finite (N, 2) float array, ``elements`` an integer (E, k)
     table with k >= 3, row e the node loop of element e; ``boundary_nodes``
-    lists the Dirichlet nodes. Every index must lie in [0, n_nodes). A bad
-    array raises PolygonError naming its shape, its first non-finite node,
-    or the element or boundary entry and the index.
+    is a 1-D integer list of the Dirichlet nodes. Every index must lie in
+    [0, n_nodes). A bad array raises PolygonError naming its shape, its
+    first non-finite node, or the element or boundary entry and the index.
     """
 
     nodes: np.ndarray
@@ -60,7 +63,10 @@ class Mesh:
         el = self.elements
         if el.ndim != 2 or el.shape[1] < 3:
             raise PolygonError(f"elements must be an (E, k) table with k >= 3, not {el.shape}")
-        for name, table in (("element", el), ("boundary entry", self.boundary_nodes)):
+        bnd = self.boundary_nodes
+        if bnd.ndim != 1:
+            raise PolygonError(f"boundary_nodes must be a 1-D index list, not {bnd.shape}")
+        for name, table in (("element", el), ("boundary entry", bnd)):
             if not np.issubdtype(table.dtype, np.integer):
                 raise PolygonError(f"{name} table holds {table.dtype}, not integer node indices")
             bad = np.argwhere((table < 0) | (table >= self.n_nodes))
@@ -195,7 +201,11 @@ def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
     """Stiffness and load for -Δu = f with f = u_exact.source, Dirichlet
     data u_exact on the boundary nodes, eliminated by rhs lift; quadrature
     by DEFAULT_ASSEMBLY_RULE. Any Mesh works: k nodes per element give k²
-    stiffness entries per element."""
+    stiffness entries per element. No other function makes a sparse
+    matrix, so this one imports scipy.sparse, and importing the package
+    does not."""
+    import scipy.sparse as sp
+
     n_nodes = mesh.n_nodes
     k = mesh.elements.shape[1]
     rows = np.repeat(mesh.elements, k, axis=1).ravel()

@@ -146,12 +146,16 @@ class Polygon:
     def inradius(self) -> float:
         """Radius of the largest inscribed circle (Chebyshev radius).
 
-        Computed directly from the inward offsets of the edge lines (see
+        A triangle's is 2A / P, formed in the frame. Otherwise it is computed
+        directly from the inward offsets of the edge lines (see
         :func:`_inscribed_circle`), with no linear program. The value is the
         smallest edge-line distance at a point of the polygon, so it is the
         radius of a true inscribed circle, equal to the largest one up to
-        roundoff.
+        roundoff. On thin triangles that centre solve amplifies roundoff by
+        diameter / inradius, which the closed form does not.
         """
+        if self.n == 3:
+            return self._area2 / float(self._lengths.sum()) / self._scale
         return _inscribed_circle(self)[1]
 
     @cached_property
@@ -353,8 +357,8 @@ def compute_hstar(p: Polygon) -> float:
     clause binds: h* is the minimum over the triangle of the largest edge
     distance, attained at the incenter, so it is the inradius 2A / P.
     """
-    if p.n == 3:  # 2A / P, formed in the frame and scaled back
-        return p._area2 / float(p._lengths.sum()) / p.scale
+    if p.n == 3:
+        return p.inradius
     dist = p.edge_distances(p.vertices)
     k = np.arange(p.n)
     dist[k, k] = dist[k - 1, k] = np.inf  # vertex k ends edges k - 1 and k

@@ -1,19 +1,27 @@
 """Randomized property audit: generator quality, determinism, controls."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mvcoords import audit, coords
 from mvcoords.audit import (
+    ConvexHull,
     _far_close_vertices,
+    _turn,
     random_convex_polygon,
     run_property_audit,
     sample_interior,
 )
-from mvcoords.errors import EvaluationError
-from mvcoords.geometry import Polygon, min_vertex_distance, point_geometry_batch
+from mvcoords.errors import EvaluationError, PolygonError
+from mvcoords.geometry import (
+    Polygon,
+    min_vertex_distance,
+    normalize_to_unit_diameter,
+    point_geometry_batch,
+)
 
 # the report lists the checks in the order the audit runs them
 CHECK_NAMES = [
@@ -51,6 +59,102 @@ def test_random_polygons_meet_quality_bounds():
         assert p.diameter == pytest.approx(1.0, abs=1e-9)
         assert p.diameter / p.inradius < 6.0
         assert min_vertex_distance(p) >= 0.1
+
+
+def star_points(rng: np.random.Generator) -> np.ndarray:
+    """One star draw of ``random_convex_polygon``: 5..10 points at sorted
+    random angles and radii in [0.4, 1)."""
+    target = int(rng.integers(5, 11))
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, target))
+    rad = rng.uniform(0.4, 1.0, target)
+    return np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+
+
+def test_hull_matches_qhull_on_star_draws():
+    """On 20,004 star draws (3,334 of each size 5..10) the chain finds
+    Qhull's vertices in Qhull's counterclockwise cyclic order, starting at
+    the lexicographically smallest vertex."""
+    from scipy.spatial import ConvexHull as Qhull
+
+    rng = np.random.default_rng(2024)
+    for k in range(5, 11):
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, (3334, k)), axis=1)
+        rad = rng.uniform(0.4, 1.0, (3334, k))
+        for pts in np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1):
+            hull, qhull = ConvexHull(pts).tolist(), Qhull(pts).vertices.tolist()
+            assert hull[0] == min(range(k), key=lambda i: tuple(pts[i]))
+            start = qhull.index(hull[0])
+            assert qhull[start:] + qhull[:start] == hull
+
+
+@pytest.mark.parametrize("points, want", [
+    pytest.param([(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)],
+                 [(0, 0), (2, 0), (2, 1), (0, 1)], id="collinear"),
+    pytest.param([(1, 1), (0, 0), (1, 0), (0, 0), (0, 1), (1, 1), (1, 0)],
+                 [(0, 0), (1, 0), (1, 1), (0, 1)], id="repeated"),
+    pytest.param([(0, 1), (0, 0), (0.5, 0.5), (0, 0), (1, 0), (0.25, 0.25)],
+                 [(0, 0), (1, 0), (0, 1)], id="repeated-and-collinear"),
+    pytest.param([(3, 3), (1, 1), (2, 2), (0, 0), (1, 1)], [(0, 0), (3, 3)], id="all-collinear"),
+    pytest.param([(0, 2), (0, 0), (0, 1)], [(0, 0), (0, 2)], id="all-collinear-vertical"),
+    pytest.param([(2, 5), (2, 5), (2, 5)], [(2, 5)], id="all-repeated"),
+    pytest.param([(2, 5)], [(2, 5)], id="one-point"),
+])
+def test_hull_drops_collinear_and_repeated_points(points, want):
+    """Counterclockwise from the lexicographically smallest point, each
+    corner once; a collinear set gives its two ends."""
+    pts = np.array(points, dtype=float)
+    assert [tuple(q) for q in pts[ConvexHull(pts)].tolist()] == want
+
+
+def test_hull_turn_test_is_exact():
+    """Points within a few ulps of (0.5, 0.5) against the line through
+    (12, 12) and (24, 24), where the float cross gets the side wrong
+    (Kettner et al., Comput. Geom. 40, 2008): the turn's sign is the exact
+    one, and the middle point (12, 12) is a hull vertex of the triangle
+    with (24, 0) exactly when it lies left of the line from p to (24, 24)."""
+    q, r, s = (12.0, 12.0), (24.0, 24.0), (24.0, 0.0)
+    ulp = np.spacing(0.5)
+    float_wrong = 0
+    for i in range(64):
+        for j in range(64):
+            p = (0.5 + i * ulp, 0.5 + j * ulp)
+            exact = (Fraction(r[0]) - Fraction(p[0])) * (Fraction(q[1]) - Fraction(p[1])) - (
+                (Fraction(r[1]) - Fraction(p[1])) * (Fraction(q[0]) - Fraction(p[0])))
+            assert np.sign(float(_turn(p, r, q))) == np.sign(exact)
+            naive = (r[0] - p[0]) * (q[1] - p[1]) - (r[1] - p[1]) * (q[0] - p[0])
+            float_wrong += np.sign(naive) != np.sign(exact)
+            hull = ConvexHull(np.array([p, q, r, s]))
+            assert (1 in hull) == (exact > 0)
+    assert float_wrong > 0
+
+
+def test_random_polygons_are_the_qhull_draws_with_rotated_labels():
+    """The first 50 polygons of seeds 42 and 3 are those of the same draw
+    loop with Qhull's hull, bit for bit, up to a cyclic rotation of the
+    vertex rows: Qhull starts its loop at an end of its first facet, the
+    chain at the lexicographically smallest vertex."""
+    from scipy.spatial import ConvexHull as Qhull
+
+    def qhull_polygon(rng):
+        while True:
+            pts = star_points(rng)
+            hull = Qhull(pts).vertices
+            if len(hull) != len(pts):
+                continue
+            try:
+                poly = normalize_to_unit_diameter(Polygon(pts[hull]))
+            except PolygonError:
+                continue
+            if (poly.diameter / poly.inradius < audit.GAMMA_MAX
+                    and min_vertex_distance(poly) > audit.D_STAR
+                    and poly.interior_angles.max() <= np.pi - 1e-6):
+                return poly
+
+    for seed in (42, 3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            got, want = random_convex_polygon(rng).vertices, qhull_polygon(ref).vertices
+            assert any(np.array_equal(np.roll(want, -k, axis=0), got) for k in range(len(want)))
 
 
 def test_sample_interior_respects_margin():

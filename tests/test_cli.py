@@ -472,28 +472,30 @@ IMPORT_PROBE = """
 import json, sys
 from mvcoords.cli import main
 
-def heavy():
-    return [m for m in ("scipy.spatial", "scipy.optimize") if m in sys.modules]
+def loaded():
+    watched = ("scipy", "scipy.sparse", "scipy.spatial", "scipy.optimize")
+    return [m for m in watched if m in sys.modules]
 
-seen = {"import": heavy()}
+seen = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    seen[argv[0]] = heavy()
+    seen[argv[0]] = loaded()
 print(json.dumps(seen))
 """
 
 
-def test_commands_load_neither_scipy_spatial_nor_optimize(polys, tmp_path):
-    """Importing the CLI and running every command but ``properties`` loads
-    neither scipy.spatial nor scipy.optimize; the audit's polygon draw
-    loads scipy.spatial alone."""
+def test_only_converge_loads_scipy(polys, tmp_path):
+    """Importing the CLI and running every command but ``converge`` loads
+    no scipy module: the audit's polygon draw takes its hulls in-house.
+    ``converge`` then loads scipy.sparse for its matrices, and neither
+    scipy.spatial nor scipy.optimize."""
     out = str(tmp_path / "out.txt")
     runs = [
         ["pentagon-study", "--apex", "1.5", "--grid", "8", "--out", out],
         ["eval", "--polygon", polys["square"], "--point", "0.5,0.5", "--out", out],
         ["check-polygon", "--polygon", polys["square"], "--out", out],
-        ["converge", "--levels", "1,2", "--out", out],
         ["properties", "--polygons", "1", "--samples", "10", "--out", out],
+        ["converge", "--levels", "1,2", "--out", out],
     ]
     src = str(Path(mvcoords.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -504,5 +506,5 @@ def test_commands_load_neither_scipy_spatial_nor_optimize(polys, tmp_path):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {
         "import": [], "pentagon-study": [], "eval": [], "check-polygon": [],
-        "converge": [], "properties": ["scipy.spatial"],
+        "properties": [], "converge": ["scipy", "scipy.sparse"],
     }

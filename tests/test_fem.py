@@ -513,6 +513,8 @@ def _set(table, index, value):
                  r"^boundary entry 0: node index -2 outside", id="boundary-negative"),
     pytest.param("boundary_nodes", lambda t: t.astype(float),
                  r"^boundary entry table holds float64", id="boundary-float"),
+    pytest.param("boundary_nodes", lambda t: t.reshape(4, 4),
+                 r"^boundary_nodes must be a 1-D index list, not \(4, 4\)$", id="boundary-2d"),
     pytest.param("nodes", lambda t: t.ravel(),
                  r"^nodes are float64 \(42,\), not float \(N, 2\)$", id="flat-nodes"),
     pytest.param("nodes", lambda t: np.column_stack([t, t[:, 0]]),
@@ -524,10 +526,11 @@ def _set(table, index, value):
 ])
 def test_malformed_mesh_named(field, edit, msg):
     """A node array that is not a finite (N, 2) float array, or a mesh table
-    that is not integer, not (E, k) with k >= 3, or holds an index outside
-    [0, n_nodes) raises PolygonError on construction, naming the array's
-    shape, the first non-finite node, or the element or boundary entry and
-    the index; a negative index is not read from the end of the node array."""
+    that is not integer, not of its shape ((E, k) with k >= 3 for elements,
+    1-D for the boundary nodes), or holds an index outside [0, n_nodes)
+    raises PolygonError on construction, naming the array's shape, the first
+    non-finite node, or the element or boundary entry and the index; a
+    negative index is not read from the end of the node array."""
     mesh = build_mesh(2)
     with pytest.raises(PolygonError, match=msg):
         dataclasses.replace(mesh, **{field: edit(getattr(mesh, field))})
