@@ -18,6 +18,7 @@ from .errors import PolygonError
 from .geometry import (
     GeometricConstants,
     Polygon,
+    _inset,
     geometric_constants,
     min_vertex_distance,
     normalize_to_unit_diameter,
@@ -27,8 +28,7 @@ from .geometry import (
 GAMMA_MAX = 6.0
 D_STAR = 0.1
 MAX_DRAWS = 2000
-MAX_SAMPLE_ROUNDS = 1000  # candidate rounds per sample_interior call
-FD_SAMPLES = 10  # points per kind for the analytic vs FD gradient check
+FD_SAMPLES = 10  # points for the analytic vs FD gradient check
 
 # Slacks for the audited inequalities; every check has zero violations at
 # these on the seeded reports.
@@ -92,9 +92,7 @@ def random_convex_polygon(rng: np.random.Generator) -> Polygon:
 
     Vertices are drawn on a random-radius star around the origin and
     passed through :func:`ConvexHull`; draws failing the vertex-count or
-    quality gates are rejected and retried. Up to a cyclic rotation of its
-    vertex rows, every polygon is the one the same loop drew when the hull
-    came from Qhull, so a seed keeps its polygon and sample streams.
+    quality gates are rejected and retried.
     """
     for _ in range(MAX_DRAWS):
         target = int(rng.integers(5, 11))
@@ -126,28 +124,26 @@ def sample_interior(
     count: int,
     margin: float | None = None,
 ) -> np.ndarray:
-    """Uniform interior samples at least ``margin`` from the boundary
-    (default: the strict-interior tolerance), by bbox rejection.
-
-    No point lies farther inside than the inradius, so a margin at or above
-    it raises ValueError, as does one so close below it that
-    MAX_SAMPLE_ROUNDS rounds of candidates do not yield ``count`` samples.
-    """
+    """Uniform interior samples more than ``margin`` from the boundary
+    (default: the strict-interior tolerance), drawn in the polygon inset by
+    the margin and a few ulps: a fan triangle by area, then a point in it by
+    the square-root map, 3 * count uniforms whatever the polygon. A negative
+    count, a negative or non-finite margin, or one not safely below the
+    inradius raises ValueError."""
     margin = p.eps_interior if margin is None else float(margin)
-    x0, y0, x1, y1 = p.bbox
-    out = np.empty((count, 2))
-    have = 0
-    for _ in range(MAX_SAMPLE_ROUNDS if margin < p.inradius else 0):
-        if have == count:
-            break
-        cand = rng.uniform((x0, y0), (x1, y1), size=(2 * (count - have) + 16, 2))
-        keep = cand[p.signed_boundary_distance(cand) > margin]
-        take = min(count - have, keep.shape[0])
-        out[have:have + take] = keep[:take]
-        have += take
-    if have < count or margin >= p.inradius:
+    if not 0.0 <= margin < np.inf or count < 0:
+        raise ValueError(f"need a finite margin >= 0 and a count >= 0, not {margin:g} and {count}")
+    pad = 8.0 * np.spacing(np.abs(p.vertices).max() + p.diameter)
+    w = _inset(p, margin + pad)
+    e = w[1:] - w[:1]
+    fan = np.cumsum(np.maximum(e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0], 0.0))
+    normal, offset = p.edge_lines  # nearly parallel lines meet only to eps / their sine
+    if margin >= p.inradius or not fan.any() or (w @ normal.T - offset).min() <= margin + pad / 2:
         raise ValueError(f"margin {margin:g} is not safely below the inradius {p.inradius:g}")
-    return out
+    pick, r, s = rng.random((3, count))
+    k = np.searchsorted(fan, pick * fan[-1])  # never past the last triangle
+    r = np.sqrt(r)
+    return w[0] + (r * (1.0 - s))[:, None] * e[k] + (r * s)[:, None] * e[k + 1]
 
 
 @dataclass
@@ -290,13 +286,11 @@ def audit_polygon(
     # some standoff. Values are identity-protected and keep the tight set.
     xg = sample_interior(p, rng, samples, margin=1e-3 * p.diameter)
     gg = point_geometry_batch(p, xg)
-    # one FD sample set per kind, drawn in the order the seeded reports
-    # have always used; a single geometry serves both sets
-    xf = [sample_interior(p, rng, FD_SAMPLES, margin=0.01 * p.diameter) for _ in KINDS]
-    gf = point_geometry_batch(p, np.concatenate(xf))
+    xf = sample_interior(p, rng, FD_SAMPLES, margin=0.01 * p.diameter)
+    gf = point_geometry_batch(p, xf)
     vt = p.vertices.T  # vt @ lam is sum_i v_i lambda_i, one row per coordinate
 
-    for k, kind in enumerate(KINDS):
+    for kind in KINDS:
         lam, _ = interior_coordinates(p, g, kind, gradients=False)
 
         c = checks[f"nonnegative ({kind})"]
@@ -324,9 +318,8 @@ def audit_polygon(
 
         c = checks[f"analytic vs FD gradient ({kind})"]
         _, glam_f = interior_coordinates(p, gf, kind, gradients=True)
-        ana = glam_f[:, :, k * FD_SAMPLES:(k + 1) * FD_SAMPLES]
-        fd = fd_gradient(p, xf[k], kind=kind).transpose(2, 1, 0)
-        rel = np.hypot(*(ana - fd)) / np.maximum(np.hypot(*ana), 0.01)
+        fd = fd_gradient(p, xf, kind=kind).transpose(2, 1, 0)
+        rel = np.hypot(*(glam_f - fd)) / np.maximum(np.hypot(*glam_f), 0.01)
         c.add(FD_SAMPLES * n, np.count_nonzero(rel > TOL_FD_MATCH), rel.max())
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -146,7 +147,9 @@ class Polygon:
     def inradius(self) -> float:
         """Radius of the largest inscribed circle (Chebyshev radius).
 
-        A triangle's is 2A / P, formed in the frame. Otherwise it is computed
+        A triangle's is 2A / P, formed in the frame with 2A exact, rounded
+        once from rationals (the shoelace float loses about eps |e1| |e2| / A
+        on thin triangles). Otherwise it is computed
         directly from the inward offsets of the edge lines (see
         :func:`_inscribed_circle`), with no linear program. The value is the
         smallest edge-line distance at a point of the polygon, so it is the
@@ -155,7 +158,10 @@ class Polygon:
         diameter / inradius, which the closed form does not.
         """
         if self.n == 3:
-            return self._area2 / float(self._lengths.sum()) / self._scale
+            (x0, y0), (x1, y1), (x2, y2) = ([Fraction(c) * Fraction(self._scale) for c in q]
+                                            for q in self._vertices.tolist())
+            area2 = float((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+            return area2 / float(self._lengths.sum()) / self._scale
         return _inscribed_circle(self)[1]
 
     @cached_property
@@ -177,7 +183,9 @@ class Polygon:
         interior points of a convex polygon never exceeds the true boundary
         distance (so it is a safe interiority margin). A point with an
         infinite coordinate and no NaN lies outside every polygon and gets
-        -inf; a NaN point gets NaN. Edge factors come from the frame.
+        -inf; a NaN point gets NaN. A finite point far enough outside for
+        the products to overflow may get -inf, never NaN. Edge factors come
+        from the frame.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.isfinite(X).all():
@@ -185,13 +193,18 @@ class Polygon:
             sd = np.where(np.isnan(X).any(axis=1), np.nan, -np.inf)
             sd[finite] = self.signed_boundary_distance(X[finite])
             return sd
-        v = self._vertices
-        e = self._edges
-        # (n, m) planes of x - v_k, one row per edge
-        dx = X[:, 0] - v[:, 0, None]
-        dy = X[:, 1] - v[:, 1, None]
-        cross = e[:, 0, None] * dy - e[:, 1, None] * dx
-        return np.min(cross / self._lengths[:, None], axis=0)
+        v, e, lengths = self._vertices, self._edges, self._lengths
+        if max(X.max(initial=0.0), -X.min(initial=0.0)) + np.abs(v).max() > 2.0**1020:
+            # x - v_k and the crosses could overflow: points near the float
+            # limit are measured at 1/16 scale, where nothing does, and every
+            # distance that stays finite keeps the bits of the unscaled one
+            far = np.abs(X).max(axis=1) + np.abs(v).max() > 2.0**1020
+            sd = np.empty(len(X))
+            sd[~far] = self.signed_boundary_distance(X[~far])
+            with np.errstate(over="ignore"):  # a distance past the float range reads -inf
+                sd[far] = 16.0 * _edge_line_depth(X[far] / 16.0, v / 16.0, e, lengths)
+            return sd
+        return _edge_line_depth(X, v, e, lengths)
 
     def edge_distances(self, points) -> np.ndarray:
         """Euclidean distance from each point to each closed edge segment.
@@ -235,6 +248,15 @@ def save_polygon(p: Polygon, path) -> None:
         fh.write(json.dumps({"vertices": p.vertices.tolist()}))
 
 
+def _edge_line_depth(X, v, e, lengths) -> np.ndarray:
+    """Smallest signed distance from each of (m, 2) points X to the lines of
+    the frame edges e from vertices v: min_k e_k x (x - v_k) / |e_k|."""
+    # (n, m) planes of x - v_k, one row per edge
+    dx = X[:, 0] - v[:, 0, None]
+    dy = X[:, 1] - v[:, 1, None]
+    return np.min((e[:, 0, None] * dy - e[:, 1, None] * dx) / lengths[:, None], axis=0)
+
+
 def _frame_table(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Edges e_k = u_{k+1} - u_k of an (n, 2) vertex loop u, their lengths,
     the turn crosses e_k x e_{k+1} (at vertex k + 1), and twice the signed
@@ -247,26 +269,17 @@ def _frame_table(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, flo
     return e, np.hypot(e[:, 0], e[:, 1]), turn, area2
 
 
-def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
-    """Centre and radius of a largest inscribed circle, in O(n^2).
-
-    Move every edge line inward at unit speed. Edge k vanishes when its
-    line passes through the meeting point of its two current neighbours:
-    at the point c and time t solving n_j . c - t = b_j for those three
-    lines. Removing the edge that vanishes first changes only its
-    neighbours' times, and the common point of the last three lines is the
-    centre. The normals n_j are those of ``edge_lines``. A run of collinear
-    edges is one line: edge k joins the line of edge k - 1 when the sine of
-    the turn between them, as the convexity test in ``Polygon`` took it, is
-    at most EPS_GEOM.
-
-    Near-ties can leave a nearly parallel pair among the last three lines,
-    whose common point is then ill conditioned (the flat apex pentagon
-    does), so every vanishing point is a candidate centre and the one
-    deepest inside wins: a true inscribed circle, largest up to roundoff.
-    Working in the frame of ``p.scale`` about the vertex centroid makes the
-    result similarity invariant.
-    """
+def _offset_sweep(p: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Move every edge line inward at unit speed, in O(n^2): edge k vanishes
+    when its line passes through the meeting point of its two current
+    neighbours, at the point c and time t solving n_j . c - t = b_j for the
+    three lines, and removing the first to vanish changes only its
+    neighbours' times. The normals n_j are those of ``edge_lines``, the
+    offsets b_j in the frame about the vertex centroid, so the sweep is
+    similarity invariant. A run of collinear edges is one line: edge k joins
+    the line of edge k - 1 when their turn sine, as the convexity test in
+    ``Polygon`` took it, is at most EPS_GEOM. Returns every edge's n and b,
+    each line's first edge, and the (cx, cy, t) where each line vanishes."""
     normal = p.edge_lines[0]
     offset = np.sum(normal * ((p.vertices - p.centroid) * p.scale), axis=1)
     line = np.flatnonzero(np.roll(p._sine, 1) > EPS_GEOM)
@@ -290,11 +303,29 @@ def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
         pair = np.array([a, c])
         event[pair] = vanish(pair)
         t[pair] = event[pair, 2]
-    # each row is a vanishing point: of its line when that line went, or
-    # of the final three lines for the three that are left
+    return normal, offset, line, event
+
+
+def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
+    """Centre and radius of a largest inscribed circle: of the points where
+    :func:`_offset_sweep` sees a line vanish, the deepest inside (a near-tie
+    can leave the last one ill conditioned, as on the flat apex pentagon)."""
+    normal, offset, _, event = _offset_sweep(p)
     depth = (event[:, :2] @ normal.T - offset).min(axis=1)
     best = int(np.argmax(depth))
     return p.centroid + event[best, :2] / p.scale, float(depth[best]) / p.scale
+
+
+def _inset(p: Polygon, margin: float) -> np.ndarray:
+    """Counterclockwise vertices of {x : every edge-line distance >= margin},
+    or none when fewer than three lines of the sweep reach that deep."""
+    normal, offset, line, event = _offset_sweep(p)
+    keep = line[event[:, 2] > margin * p.scale]
+    if len(keep) < 3:
+        return np.empty((0, 2))
+    pair = np.stack([keep, np.roll(keep, -1)], axis=-1)
+    u = np.linalg.solve(normal[pair], offset[pair][..., None] + margin * p.scale)[..., 0]
+    return p.centroid + u / p.scale
 
 
 def min_vertex_distance(p: Polygon) -> float:

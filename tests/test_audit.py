@@ -1,10 +1,11 @@
 """Randomized property audit: generator quality, determinism, controls."""
 
-import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mvcoords import audit, coords
 from mvcoords.audit import (
@@ -18,6 +19,7 @@ from mvcoords.audit import (
 from mvcoords.errors import EvaluationError, PolygonError
 from mvcoords.geometry import (
     Polygon,
+    apex_pentagon,
     min_vertex_distance,
     normalize_to_unit_diameter,
     point_geometry_batch,
@@ -174,15 +176,121 @@ def test_sample_interior_rejects_margin_at_inradius():
         sample_interior(square, np.random.default_rng(0), 1, margin=0.6)
 
 
-def test_sample_interior_gives_up_just_below_the_inradius():
-    """A margin 1e-4 below the square's inradius leaves an accepted region
-    of about 4e-8 of the bounding box; the bounded rejection loop raises
-    instead of drawing for hours."""
+def test_sample_interior_draws_just_below_the_inradius():
+    """A margin 1e-4 below the unit square's inradius leaves an inset of
+    about 4e-8 of the square; the draw in it still returns every sample
+    more than the margin inside, while the inradius itself and beyond
+    still raise."""
     square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"margin 0\.4999 .* inradius 0\.5"):
-        sample_interior(square, np.random.default_rng(0), 1, margin=0.4999)
-    assert time.perf_counter() - start < 5.0
+    pts = sample_interior(square, np.random.default_rng(0), 1000, margin=0.4999)
+    assert pts.shape == (1000, 2)
+    assert square.signed_boundary_distance(pts).min() > 0.4999
+    for margin in (0.5, 0.6):
+        with pytest.raises(ValueError, match=rf"margin {margin:g} .* inradius 0\.5"):
+            sample_interior(square, np.random.default_rng(0), 1, margin=margin)
+
+
+@pytest.mark.parametrize(("count", "margin"), [
+    (1000, -0.2), (1000, -np.inf), (1000, np.inf), (1000, np.nan), (-1, 0.1), (-1, None),
+])
+def test_sample_interior_rejects_bad_arguments(count, margin):
+    """A negative margin would draw from an outset polygon, outside the
+    triangle; a negative count has no meaning."""
+    tri = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="finite margin >= 0 and a count >= 0"):
+        sample_interior(tri, np.random.default_rng(0), count, margin=margin)
+
+
+@given(k=st.integers(0, 11), fraction=st.floats(0.0, 0.999), seed=st.integers(0, 2**32 - 1))
+def test_sample_interior_is_strictly_inside_the_margin(polygon_suite, k, fraction, seed):
+    """Every sample lies more than the margin inside, by the package's own
+    distance, at any margin up to 0.999 of the inradius."""
+    p = polygon_suite[k]
+    margin = fraction * p.inradius
+    pts = sample_interior(p, np.random.default_rng(seed), 200, margin=margin)
+    assert np.all(p.signed_boundary_distance(pts) > margin)
+
+
+def test_sample_interior_is_strict_up_to_the_inradius(polygon_suite):
+    """At margins from 2^-10 to a few ulps below the inradius a call either
+    raises or returns samples all more than the margin inside: the draw
+    keeps a few ulps of standoff from the inset's rounded edges, and an
+    inset vertex between nearly parallel lines, placed only to eps over
+    their sine, is checked (on the flatter apex pentagons it falls outside
+    a sliver inset from about 2^-35 below the inradius on)."""
+    square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    apexes = [apex_pentagon(1.0 + 10.0**-j) for j in range(3, 8)]
+    drawn = 0
+    for p in [square, *apexes, *polygon_suite]:
+        for k in range(10, 54):
+            margin = p.inradius * (1.0 - 2.0**-k)
+            try:
+                pts = sample_interior(p, np.random.default_rng(k), 500, margin=margin)
+            except ValueError:
+                continue
+            drawn += 1
+            assert np.all(p.signed_boundary_distance(pts) > margin), (p, k)
+    assert drawn >= 18 * 25
+
+
+def test_sample_interior_draw_count_depends_only_on_the_count(polygon_suite):
+    """A call takes 3 * count uniforms whatever the polygon and margin, so
+    one roundoff in the geometry cannot reshuffle later draws."""
+    square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    for count in (0, 1, 17, 500):
+        ref = np.random.default_rng(5)
+        ref.random(3 * count)
+        for p in [square, apex_pentagon(1.001), *polygon_suite[:4]]:
+            for fraction in (0.0, 1e-7, 0.5, 0.999):
+                rng = np.random.default_rng(5)
+                sample_interior(p, rng, count, margin=fraction * p.inradius)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# upper 0.1% points of chi-squared with 99 and 15 degrees of freedom
+CHI2_99, CHI2_15 = 148.23, 37.70
+
+
+def test_sample_interior_is_uniform_on_the_square():
+    """Counts over a 10 x 10 grid of the inset [m, 1 - m]^2 pass a
+    chi-squared test."""
+    square = Polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    m, n = 0.1, 20_000
+    pts = sample_interior(square, np.random.default_rng(2), n, margin=m)
+    cell = np.floor((pts - m) / (1.0 - 2.0 * m) * 10.0).astype(int)
+    counts = np.bincount(cell[:, 0] * 10 + cell[:, 1], minlength=100)
+    assert len(counts) == 100
+    assert np.sum((counts - n / 100) ** 2 / (n / 100)) < CHI2_99
+
+
+def test_sample_interior_is_uniform_on_a_triangle():
+    """The inset of a triangle is the triangle shrunk about its incentre;
+    counts over the 16 congruent triangles of its 4 x 4 subdivision pass a
+    chi-squared test."""
+    v = np.array([(0.0, 0.0), (1.0, 0.2), (0.3, 0.9)])
+    tri = Polygon(v)
+    side = np.hypot(*(np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)).T)  # opposite each vertex
+    centre = side @ v / side.sum()
+    m, n = 0.05, 16_000
+    inner = centre + (v - centre) * (1.0 - m / tri.inradius)
+    pts = sample_interior(tri, np.random.default_rng(4), n, margin=m)
+    # barycentric coordinates in the inset, times 4: their floors name the cell
+    bary = np.linalg.solve(np.vstack([inner.T, np.ones(3)]), np.vstack([pts.T, np.ones(n)]))
+    assert bary.min() > -1e-12
+    keys, counts = np.unique(np.floor(4.0 * bary).T.clip(0, 3), axis=0, return_counts=True)
+    assert len(keys) == 16
+    assert np.sum((counts - n / 16) ** 2 / (n / 16)) < CHI2_15
+
+
+def test_sample_interior_picks_fan_triangles_by_area():
+    """The trapezoid (0, 0), (2, 0), (1, 1), (0, 1) holds 2/3 of its area
+    left of x = 1, and a fan from any corner cuts it into triangles of
+    areas 1 and 1/2; picking them with equal odds would put 3/4 or 7/12
+    of the samples there."""
+    trap = Polygon([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    n = 20_000
+    left = np.count_nonzero(sample_interior(trap, np.random.default_rng(6), n)[:, 0] < 1.0)
+    assert (left - 2 * n / 3) ** 2 / (2 * n / 9) < 10.83  # chi-squared, 1 degree, 0.1%
 
 
 def test_small_audit_run_is_clean():
@@ -270,7 +378,8 @@ def test_audit_rejects_non_finite_mean_value_weights(monkeypatch, poisoned_call)
 
 
 def test_audit_builds_five_point_geometries_per_polygon(monkeypatch):
-    """x, xg and the FD samples once each, plus one FD stencil per kind."""
+    """x, xg and the FD samples, which both kinds read, once each, plus one
+    FD stencil per kind."""
     calls = []
 
     def counted(p, points):
@@ -280,4 +389,4 @@ def test_audit_builds_five_point_geometries_per_polygon(monkeypatch):
     monkeypatch.setattr(audit, "point_geometry_batch", counted)
     monkeypatch.setattr(coords, "point_geometry_batch", counted)
     run_property_audit(2, 50)
-    assert calls == [50, 50, 20, 40, 40] * 2
+    assert calls == [50, 50, 10, 40, 40] * 2

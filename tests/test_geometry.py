@@ -3,6 +3,7 @@
 import json
 import time
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,12 +13,26 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from mvcoords.audit import random_convex_polygon
-from mvcoords.coords import OK, _edge_limit_values, _normalized, evaluate, interior_coordinates
-from mvcoords.errors import DegenerateEdge, NonConvex, PolygonError, WrongOrientation
+from mvcoords.coords import (
+    OK,
+    _edge_limit_values,
+    _normalized,
+    evaluate,
+    interior_coordinates,
+    mvc_values,
+)
+from mvcoords.errors import (
+    DegenerateEdge,
+    NonConvex,
+    OutsidePolygon,
+    PolygonError,
+    WrongOrientation,
+)
 from mvcoords.geometry import (
     Polygon,
     _frame_table,
     _inscribed_circle,
+    _inset,
     _rot_ccw,
     apex_pentagon,
     compute_hstar,
@@ -168,6 +183,44 @@ def test_inradius_is_the_edge_line_distance_at_its_centre(polygon_suite):
         assert edge_line_depth(p, centre) == pytest.approx(r, rel=1e-12)
 
 
+def _clip(loop, normal, offset):
+    """The part of a convex loop where normal . x >= offset (one
+    Sutherland-Hodgman pass)."""
+    out = []
+    for a, b in zip(loop, np.roll(loop, -1, axis=0)):
+        fa, fb = normal @ a - offset, normal @ b - offset
+        if fa >= 0.0:
+            out.append(a)
+        if fa * fb < 0.0:
+            out.append(a + fa / (fa - fb) * (b - a))
+    return np.array(out)
+
+
+def _shoelace(loop):
+    x, y = loop.T
+    return 0.5 * float(x @ np.roll(y, -1) - np.roll(x, -1) @ y)
+
+
+def test_inset_is_the_intersection_of_the_offset_half_planes(polygon_suite):
+    """At margins up to 0.999 of the inradius, the inset has the area of the
+    polygon clipped by every edge line moved in by the margin, and each of
+    its vertices lies at the margin from its two lines and no nearer to
+    any other."""
+    for p in [SQUARE, OCT8, TRI_345, HEXAGON, apex_pentagon(1.001), apex_pentagon(1.5),
+              *polygon_suite]:
+        normal, offset = p.edge_lines
+        for fraction in (1e-7, 0.1, 0.5, 0.9, 0.999):
+            margin = fraction * p.inradius
+            w = _inset(p, margin)
+            clipped = p.vertices
+            for n_k, b_k in zip(normal, offset):
+                clipped = _clip(clipped, n_k, b_k + margin)
+            assert _shoelace(w) == pytest.approx(_shoelace(clipped), rel=1e-9, abs=1e-15)
+            depth = np.sort(w @ normal.T - offset, axis=1)
+            assert np.abs(depth[:, :2] - margin).max() <= 1e-14 * p.diameter
+            assert np.all(depth[:, 2:] >= margin - 1e-14 * p.diameter)
+
+
 def rotation(theta: float) -> np.ndarray:
     """Matrix that turns row vectors by theta when applied on the right."""
     c, s = np.cos(theta), np.sin(theta)
@@ -209,23 +262,48 @@ def test_inradius_matches_a_linear_program():
         checked += 1
 
 
-def test_triangle_inradius_matches_exact_2a_over_p():
-    """Random triangles inscribed in a unit circle centred up to 100 from
-    the origin, thin ones included (diameter / inradius up to 1.6e4): the
-    inradius is 2A / P of the float vertices to 5e-14 relative, against
-    50-digit arithmetic. Solving for the incentre through the edge normals
-    loses up to 3.1e-13 on the same triangles."""
+def _circle_triangle(rng):
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))
+    return np.column_stack([np.cos(t), np.sin(t)]) + rng.uniform(-100.0, 100.0, 2)
+
+
+def _thin_triangle(rng):
+    """A unit base at a random rotation, the apex 1e-3..1 above a point in
+    [-0.2, 1.2] of it, centred up to 100 from the origin."""
+    turn = rng.uniform(0.0, 2.0 * np.pi)
+    rot = np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
+    apex = (rng.uniform(-0.2, 1.2), 10.0 ** rng.uniform(-3.0, 0.0))
+    return np.array([(0.0, 0.0), (1.0, 0.0), apex]) @ rot + rng.uniform(-100.0, 100.0, 2)
+
+
+def _worst_inradius_error(draw) -> float:
+    """Largest relative error of the inradius against 50-digit 2A / P of
+    the float vertices over 3,000 drawn triangles."""
     rng = np.random.default_rng(7)
     worst = 0.0
     with mpmath.workdps(50):
         for _ in range(3000):
-            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))
-            p = Polygon(np.column_stack([np.cos(t), np.sin(t)]) + rng.uniform(-100.0, 100.0, 2))
+            p = Polygon(draw(rng))
             a, b, c = ([mpmath.mpf(float(x)) for x in q] for q in p.vertices)
             area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             perimeter = sum(mpmath.hypot(q[0] - r[0], q[1] - r[1]) for q, r in ((b, a), (c, b), (a, c)))
             worst = max(worst, float(abs(p.inradius * perimeter / area2 - 1)))
-    assert worst <= 5e-14
+    return worst
+
+
+def test_triangle_inradius_matches_exact_2a_over_p():
+    """Random triangles inscribed in a unit circle centred up to 100 from
+    the origin, thin ones included (diameter / inradius up to 1.6e4): the
+    inradius is 2A / P to 1e-15 relative. Solving for the incentre through
+    the edge normals loses up to 3.1e-13 on the same triangles."""
+    assert _worst_inradius_error(_circle_triangle) <= 1e-15
+
+
+def test_thin_triangle_inradius_has_an_exact_twice_area():
+    """On thin triangles a float shoelace 2A loses about eps |e1| |e2| / A,
+    up to 7.3e-14 relative on this set; the exact one keeps 2A / P to
+    1e-15."""
+    assert _worst_inradius_error(_thin_triangle) <= 1e-15
 
 
 def test_interior_angles_square():
@@ -305,6 +383,23 @@ def test_signed_boundary_distance_of_non_finite_points():
     assert np.isnan(sd[3:5]).all()
     assert np.array_equal(sd[5:], SQUARE.signed_boundary_distance(pts[5:]))
     assert sd[5:].tolist() == [0.25, -1.0]
+
+
+def test_signed_boundary_distance_of_finite_points_near_the_float_limit():
+    """A finite point far outside reads a finite distance or -inf, never
+    NaN, with no overflow warning (the suite makes warnings errors), so
+    evaluation calls it outside; points inside keep their distance."""
+    tri = Polygon([(0.0, 0.0), (1.4, 0.0), (0.0, 1.4)])
+    sd = tri.signed_boundary_distance([(1.5e308, -1.5e308), (-1.7e308, 1.7e308), (0.2, 0.3)])
+    assert sd[0] == pytest.approx(-1.5e308, rel=1e-15)
+    assert sd[1] == pytest.approx(-1.7e308, rel=1e-15)
+    assert sd[2] == tri.signed_boundary_distance([(0.2, 0.3)])[0]
+    with pytest.raises(OutsidePolygon, match="point index 0"):
+        mvc_values(tri, (1.5e308, -1.5e308))
+    unit = Polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    far = unit.signed_boundary_distance([(1e308, 1e308), (-1.7e308, -1.7e308), (1.7e308, 1.7e308)])
+    assert far[0] == pytest.approx(-np.sqrt(2.0) * 1e308, rel=1e-15)
+    assert far[1] == -1.7e308 and far[2] == -np.inf  # its true distance is past the float range
 
 
 # ---------------------------------------------------------- separation radius
@@ -715,9 +810,10 @@ def test_frame_table_readers_match_their_reference_formulas(loop, s, clockwise):
     assert _same(p.interior_angles, np.arctan2(cross, np.sum(a * b, axis=1)))
     i, j = np.triu_indices(p.n, k=1)
     assert min_vertex_distance(p) == float(np.min(np.hypot(*(v[i] - v[j]).T)))
-    if p.n == 3:
-        hstar = _twice_area_reference(u) / float(lengths.sum() * scale) / scale
-        assert compute_hstar(p) == hstar
+    if p.n == 3:  # h* is the inradius, 2A / P with 2A exact and rounded once
+        a, b, c = ([Fraction(t) for t in q] for q in u.tolist())
+        area2 = float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        assert compute_hstar(p) == area2 / float(lengths.sum() * scale) / scale
     for loop in (u, u[::-1]):  # fem's orientation test, by the sign of the same twice-area
         x, y = loop.T
         assert (_frame_table(loop)[3] < 0.0) == (x @ np.roll(y, -1) < np.roll(x, -1) @ y)
@@ -738,3 +834,21 @@ def test_frame_table_readers_match_their_reference_formulas(loop, s, clockwise):
     lam, glam = interior_coordinates(p, g, "wachspress", True)
     want, gwant = _wachspress_reference(p, _interior_points(p, 2))
     assert _same(lam, want) and _same(glam, gwant)
+
+
+@pytest.mark.parametrize("loop, s", FRAME_CASES)
+def test_signed_boundary_distance_keeps_its_bits_near_the_float_limit(loop, s):
+    """Points past 2^1020, measured at 1/16 scale, read the bits of the
+    plain formula wherever none of its products overflowed."""
+    p = Polygon(s * loop)
+    far = np.array([(2.0**1019, -2.0**1019), (3e307, -3e307), (0.0, -5e307),
+                    (1.5e308, 0.0), (0.0, -1.7e308), (-1e308, 1e308)])
+    X = np.concatenate([_interior_points(p, 2), p.vertices * 3.0, p.centroid + far])
+    v, fe, lengths = p.vertices, p.edge_vectors * p.scale, p.edge_lengths * p.scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = X[:, 0] - v[:, 0, None], X[:, 1] - v[:, 1, None]
+        cross = fe[:, 0, None] * dy - fe[:, 1, None] * dx
+        sd = np.min(cross / lengths[:, None], axis=0)
+    plain = np.isfinite(cross).all(axis=0)
+    assert plain[-5:-3].all()  # past 2^1020, but no product overflows
+    assert np.array_equal(p.signed_boundary_distance(X)[plain], sd[plain])
