@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .audit import D_STAR, GAMMA_MAX, run_property_audit
-from .coords import BAND, KINDS, NONFINITE, OK, STATUS_NAMES, evaluate, sup_gradient_scan
+from .coords import BAND, KINDS, NONFINITE, OK, OUTSIDE, STATUS_NAMES, evaluate, sup_gradient_scan
 from .errors import NoConvergence
 from .fem import convergence_study
 from .geometry import (
@@ -45,6 +45,12 @@ def _bbox_lattice(p, n: int) -> np.ndarray:
     ys = np.linspace(y0, y1, n)
     gx, gy = np.meshgrid(xs, ys)
     return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _fill(fmt: str, table: np.ndarray):
+    """CSV rows ``fmt % row`` over the columns of ``table``, one row tuple alive
+    at a time: a live list per row would set off a full GC on a large grid."""
+    return map(fmt.__mod__, zip(*table.tolist()))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -73,23 +79,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     n = len(p.vertices)
     ev = evaluate(p, pts, args.kind, gradients=True)
 
-    header = ["x", "y", "status"]
-    for i in range(n):
-        header += [f"lambda_{i}", f"grad_x_{i}", f"grad_y_{i}"]
-    lines = [",".join(header)]
-    # Cells are formatted a column at a time from the (n, m) planes, so the
-    # dump holds 3n lists instead of four per point: that many live lists
-    # would set off a full garbage collection on a large grid.
-    status = ev.status.tolist()
-    shown = [s in (OK, BAND) for s in status]
-    shown_grad = [s == OK for s in status]
-    columns = []
-    for lam, gx, gy in zip(ev.values.tolist(), *(g.tolist() for g in ev.gradients)):
-        columns += [[f"{v:.6g}" if ok else "" for v, ok in zip(lam, shown)],
-                    [f"{v:.6g}" if ok else "" for v, ok in zip(gx, shown_grad)],
-                    [f"{v:.6g}" if ok else "" for v, ok in zip(gy, shown_grad)]]
-    for x, y, s, cells in zip(pts[:, 0].tolist(), pts[:, 1].tolist(), status, zip(*columns)):
-        lines.append(f"{x:.6g},{y:.6g},{STATUS_NAMES[s]}," + ",".join(cells))
+    lines = ["x,y,status" + "".join(f",lambda_{i},grad_x_{i},grad_y_{i}" for i in range(n))]
+    lines += [""] * len(pts)
+    # columns x, y, then lambda_i, grad_x_i, grad_y_i per vertex
+    table = np.concatenate([pts.T, np.stack([ev.values, *ev.gradients], 1).reshape(3 * n, -1)])
+    layouts = [(OK, ",%.6g,%.6g,%.6g" * n, slice(None)),
+               (BAND, ",%.6g,," * n, np.r_[0, 1, 2:2 + 3 * n:3]),
+               (OUTSIDE, "," * 3 * n, [0, 1]),
+               (NONFINITE, "," * 3 * n, [0, 1])]
+    for s, cells, cols in layouts:
+        rows = np.flatnonzero(ev.status == s)
+        fill = _fill(f"%.6g,%.6g,{STATUS_NAMES[s]}{cells}", table[cols][:, rows])
+        for i, line in zip(rows.tolist(), fill):
+            lines[1 + i] = line
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -143,10 +145,8 @@ def cmd_pentagon_study(args: argparse.Namespace) -> int:
             lattice = _bbox_lattice(p, args.grid)
             ev = evaluate(p, lattice, kind, gradients=True)
             ev.raise_first(NONFINITE)
-            ok = ev.status == OK
-            apex = ev.values[-1, ok], *ev.gradients[:, -1, ok]  # the apex is the last vertex
-            for (x, y), lam, gx, gy in zip(lattice[ok], *apex):
-                surface.append(f"{a:g},{kind},{x:.6g},{y:.6g},{lam:.6g},{gx:.6g},{gy:.6g}")
+            table = np.concatenate([lattice.T, ev.values[-1:], ev.gradients[:, -1]])  # apex is last
+            surface += _fill(f"{a:g},{kind}" + ",%.6g" * 5, table[:, ev.status == OK])
     _emit("\n".join(rows) + "\n", args.out)
     if surface is not None:
         with open(args.surface, "w", encoding="utf-8") as fh:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mvcoords
 from mvcoords import coords
@@ -18,8 +20,8 @@ from mvcoords.coords import (
     wachspress_gradients,
     wachspress_values,
 )
-from mvcoords.errors import OutsidePolygon, PointTooCloseToBoundary
-from mvcoords.geometry import load_polygon
+from mvcoords.errors import EvaluationError
+from mvcoords.geometry import apex_pentagon, load_polygon
 
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 OCT8 = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 0.5],
@@ -195,27 +197,54 @@ def eval_one_point_at_a_time(path, points, grid, kind):
             for i in range(n):
                 cells[3 * i + 1] = f"{grad[i, 0]:.6g}"
                 cells[3 * i + 2] = f"{grad[i, 1]:.6g}"
-        except (OutsidePolygon, PointTooCloseToBoundary) as exc:
+        except EvaluationError as exc:
             status = type(exc).__name__
         lines.append(f"{x:.6g},{y:.6g},{status}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("kind", ["mvc", "wachspress"])
-def test_eval_matches_one_point_at_a_time(polys, capsys, kind):
-    # outside, two vertices, two edge points, the band on both sides of an
-    # edge (eps = 1e-9 * sqrt(2) here), just past the band on both sides,
-    # inside; the lattice adds more of each
-    points = [(2.0, 2.0), (-0.5, 0.5), (0.0, 0.0), (1.0, 1.0), (0.3, 0.0),
-              (1.0, 0.6), (0.5, 1e-9), (0.5, -1e-9), (0.5, -2e-9), (0.5, 1e-8),
-              (0.5, 0.5), (0.25, 0.7)]
-    argv = ["eval", "--polygon", polys["square"], "--kind", kind, "--grid", "11"]
-    argv += [f"--point={x!r},{y!r}" for x, y in points]
+# outside (one far off, one infinite), two vertices, two edge points, the
+# band on both sides of an edge (eps = 1e-9 * sqrt(2) here), just past the
+# band on both sides, inside, a NaN point, -0.0; the lattice adds more
+EVAL_POINTS = [(2.0, 2.0), (-0.5, 0.5), (np.inf, 0.0), (1e308, 1e308), (0.0, 0.0),
+               (1.0, 1.0), (0.3, 0.0), (1.0, 0.6), (0.5, 1e-9), (0.5, -1e-9), (0.5, -2e-9),
+               (0.5, 1e-8), (0.5, 0.5), (0.25, 0.7), (np.nan, 0.0), (-0.0, 0.5), (0.5, 0.5 + 1e-7)]
+
+
+@pytest.mark.parametrize("name,kind,vertices", [("square", "mvc", 4), ("square", "wachspress", 4),
+                                               ("oct8", "mvc", 8)],
+                         ids=["mvc", "wachspress", "oct8-mvc"])
+def test_eval_matches_one_point_at_a_time(polys, capsys, name, kind, vertices):
+    argv = ["eval", "--polygon", polys[name], "--kind", kind, "--grid", "11"]
+    argv += [f"--point={x!r},{y!r}" for x, y in EVAL_POINTS]
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
-    assert out == eval_one_point_at_a_time(polys["square"], points, 11, kind)
-    statuses = {line.split(",")[2] for line in out.splitlines()[1:]}
-    assert statuses == {"ok", "OutsidePolygon", "PointTooCloseToBoundary"}
+    assert out == eval_one_point_at_a_time(polys[name], EVAL_POINTS, 11, kind)
+    lines = out.splitlines()
+    assert {len(line.split(",")) for line in lines} == {3 + 3 * vertices}
+    assert {line.split(",")[2] for line in lines[1:]} == {
+        "ok", "OutsidePolygon", "PointTooCloseToBoundary", "EvaluationError"}
+
+
+# where %g output changes form: signed zeros, infinities, NaN, the smallest
+# subnormal and normal, rounding up to 1e+06 (exponent form) and to 0.0001
+# (fixed form) and the float just below each, the largest float
+FORMAT_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 2.2250738585072014e-308,
+                999999.5, np.nextafter(999999.5, 0.0), -999999.5, 9.999995e-5,
+                np.nextafter(9.999995e-5, 0.0), 1.7976931348623157e308]
+
+
+@given(v=st.one_of(st.floats(), st.floats(999999.0, 1.000001e6), st.floats(-1.000001e6, -999999.0),
+                   st.floats(9.9999e-5, 1.00001e-4), st.floats(0.0, 1e-307)))
+def test_percent_format_matches_format_spec(v):
+    """The CSV dumps fill row templates with %-formatting; every float
+    prints exactly as f"{v:.6g}" would."""
+    assert "%.6g" % v == format(v, ".6g")
+
+
+@pytest.mark.parametrize("v", FORMAT_EDGES)
+def test_percent_format_matches_format_spec_at_the_edges(v):
+    assert "%.6g" % v == format(v, ".6g")
 
 
 def test_eval_wachspress_needs_strict_convexity(polys, capsys):
@@ -354,15 +383,27 @@ def test_pentagon_study_default_table(capsys):
 
 
 def test_pentagon_study_surface_dump(tmp_path, capsys):
+    """The surface rows are byte for byte the f-string of each interior
+    lattice point and the apex vertex's value and gradient there."""
     surf = tmp_path / "surface.csv"
-    rc, _, _ = run_cli(capsys, "pentagon-study", "--apex", "1.5",
+    rc, _, _ = run_cli(capsys, "pentagon-study", "--apex", "1.5,1.01",
                        "--grid", "16", "--surface", str(surf))
     assert rc == 0
-    lines = surf.read_text().strip().split("\n")
-    assert lines[0] == "apex,kind,x,y,lambda,grad_x,grad_y"
-    kinds = {line.split(",")[1] for line in lines[1:]}
-    assert kinds == {"mvc", "wachspress"}
-    lam = [float(line.split(",")[4]) for line in lines[1:]]
+    want = ["apex,kind,x,y,lambda,grad_x,grad_y"]
+    for a in (1.5, 1.01):
+        p = apex_pentagon(a)
+        x0, y0, x1, y1 = p.bbox
+        gx, gy = np.meshgrid(np.linspace(x0, x1, 16), np.linspace(y0, y1, 16))
+        lattice = np.column_stack([gx.ravel(), gy.ravel()])
+        for kind in ("mvc", "wachspress"):
+            ev = coords.evaluate(p, lattice, kind, gradients=True)
+            ok = ev.status == coords.OK
+            apex = ev.values[-1, ok], *ev.gradients[:, -1, ok]
+            for (x, y), lam, dx, dy in zip(lattice[ok], *apex):
+                want.append(f"{a:g},{kind},{x:.6g},{y:.6g},{lam:.6g},{dx:.6g},{dy:.6g}")
+    assert surf.read_text() == "\n".join(want) + "\n"
+    assert {line.split(",")[0] for line in want[1:]} == {"1.5", "1.01"}
+    lam = [float(line.split(",")[4]) for line in want[1:]]
     assert min(lam) >= -1e-12
     assert max(lam) <= 1.0
 

@@ -627,29 +627,26 @@ def test_power_of_two_similarity_is_exact(seed, j):
 def test_decimal_scales_across_the_float_range(kind):
     """apex_pentagon(1.5) scaled by 10^k for every k from -300 to 300, at
     interior points, edge points and the vertices: no value is NaN, values
-    stay within 1e-15 of the unscaled ones and gradients times 10^k within
-    1e-14 of the largest unscaled one. The points are fixed, 0.10 to 0.61
-    inside: nearer an edge the rounding of 10^k * vertices moves gradients
-    by up to about eps * diameter / distance."""
+    stay within 1e-15 of the unscaled ones, and each interior point's
+    gradients times 10^k stay within 4 eps * diameter / distance of the
+    largest unscaled gradient. Rounding 10^k * vertices moves a vertex by
+    about eps * diameter, which moves the gradients at a point by that over
+    its boundary distance (0.8 of this at worst over 4,000 points)."""
     p = apex_pentagon(1.5)
-    inner = np.array([(0.25019093320933394, 1.2430345024239386),
-                      (0.551371380490387, -0.43698202502352035),
-                      (-0.39966743017754913, 1.1838836134906545),
-                      (0.5941388575040925, 0.169837382109302),
-                      (-0.39393514636137295, -0.3039359697480667)])
-    i = np.array([0, 0, 3, 1, 2])
-    along = np.array([0.15019972907045187, 0.8163381038190757, 0.37944617155031246,
-                      0.9787478844112216, 0.5899916930106103])
-    edge = p.vertices[i] + along[:, None] * p.edge_vectors[i]
+    rng = np.random.default_rng(7)
+    inner = sample_interior(p, rng, 40, margin=1e-3)
+    i = rng.integers(0, p.n, 5)
+    edge = p.vertices[i] + rng.uniform(0.0, 1.0, (5, 1)) * p.edge_vectors[i]
     pts = np.concatenate([inner, edge, p.vertices])
     lam = coordinate_values(p, pts, kind)
     grad = coordinate_gradients(p, inner, kind).gradients
+    tol = 4.0 * EPS * p.diameter / p.signed_boundary_distance(inner) * np.abs(grad).max()
     for k in range(-300, 301):
         s = 10.0**k
         q = Polygon(s * p.vertices)
         assert np.abs(coordinate_values(q, s * pts, kind) - lam).max() <= 1e-15, k
         g = coordinate_gradients(q, s * inner, kind).gradients
-        assert np.abs(s * g - grad).max() <= 1e-14 * np.abs(grad).max(), k
+        assert (np.abs(s * g - grad).max(axis=(1, 2)) <= tol).all(), k
 
 
 @pytest.mark.parametrize("n", range(3, 17))
