@@ -16,7 +16,6 @@ import numpy as np
 from .coords import KINDS, _mvc_weights, fd_gradient, interior_coordinates
 from .errors import PolygonError
 from .geometry import (
-    GeometricConstants,
     Polygon,
     _inset,
     geometric_constants,
@@ -154,10 +153,11 @@ class CheckCounter:
     worst: float = 0.0
 
     def add(self, n_checked: int, bad: int, worst: float) -> None:
+        """Count ``n_checked`` more cases and ``bad`` more violations; the
+        worst is kept as NaN once a NaN is seen."""
         self.checked += int(n_checked)
         self.violations += int(bad)
-        if worst > self.worst:
-            self.worst = float(worst)
+        self.worst = float(np.maximum(self.worst, worst))
 
 
 class _CheckCounters(dict):
@@ -167,6 +167,13 @@ class _CheckCounters(dict):
     def __missing__(self, name: str) -> CheckCounter:
         counter = self[name] = CheckCounter(name)
         return counter
+
+    def tally(self, name: str, residual, bad) -> None:
+        """Add one check's residuals to its row: every entry is a case, one
+        that ``bad`` flags or that is NaN a violation, and the largest (NaN
+        if any is) the worst."""
+        residual = np.asarray(residual)
+        self[name].add(residual.size, np.count_nonzero(bad | np.isnan(residual)), residual.max())
 
 
 @dataclass
@@ -222,62 +229,54 @@ def audit_polygon(
     keep a margin above the interior tolerance, so they go to the interior
     kernels unclassified; non-finite kernel output stops the audit.
     """
-    gc: GeometricConstants = geometric_constants(p)
-    n = p.n
+    gc = geometric_constants(p)
     x = sample_interior(p, rng, samples, margin=1e-7 * p.diameter)
     g = point_geometry_batch(p, x)
 
-    c = checks["angle sum 2pi"]
     err = np.abs(g.alpha.sum(axis=0) - 2.0 * np.pi)
-    c.add(samples, np.count_nonzero(err > TOL_ANGLE_SUM), err.max())
+    checks.tally("angle sum 2pi", err, err > TOL_ANGLE_SUM)
 
     # The separation radius is computed as a supremum, so it can equal
     # d_min/2 exactly (the unit square does); the audited bound is <=.
-    c = checks["h* at most half min vertex gap"]
     half = 0.5 * gc.d_min
-    c.add(1, 0 if gc.h_star <= half * (1.0 + 1e-12) else 1, gc.h_star / half)
+    checks.tally("h* at most half min vertex gap", gc.h_star / half,
+                 not gc.h_star <= half * (1.0 + 1e-12))
 
     small_r = g.r < gc.h_star * g.scale  # g.r is in frame units
     big_a = g.alpha > gc.alpha_star
 
-    c = checks["at most one vertex within h*"]
     cnt = small_r.sum(axis=0)
-    c.add(samples, np.count_nonzero(cnt > 1), float(cnt.max()))
+    checks.tally("at most one vertex within h*", cnt, cnt > 1)
 
-    c = checks["at most one angle above alpha*"]
     cnt = big_a.sum(axis=0)
-    c.add(samples, np.count_nonzero(cnt > 1), float(cnt.max()))
+    checks.tally("at most one angle above alpha*", cnt, cnt > 1)
 
-    c = checks["close vertex belongs to the wide edge"]
+    # these two rows count once per polygon, not one case per residual
     wide, bad = _far_close_vertices(small_r, big_a)
-    c.add(wide if wide else samples, bad, float(bad))
+    checks["close vertex belongs to the wide edge"].add(wide if wide else samples, bad, bad)
 
-    c = checks["close vertex has wide adjacent angles"]
     spread = (np.roll(g.alpha, 1, axis=0) + g.alpha)[small_r]
     if spread.size:
-        viol = spread <= 2.0 * np.pi / 3.0
-        c.add(spread.size, int(np.count_nonzero(viol)), float((2.0 * np.pi / 3.0 - spread).max()))
+        checks.tally("close vertex has wide adjacent angles", 2.0 * np.pi / 3.0 - spread,
+                     spread <= 2.0 * np.pi / 3.0)
     else:
-        c.add(samples, 0, 0.0)
+        checks["close vertex has wide adjacent angles"].add(samples, 0, 0.0)
 
-    c = checks["grad alpha bounded by 1/r_i + 1/r_{i+1}"]
     bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=0)
     rel = np.hypot(g.grad_alpha[0], g.grad_alpha[1]) / bound - 1.0
-    c.add(samples * n, np.count_nonzero(rel > TOL_GRAD_ALPHA), rel.max())
+    checks.tally("grad alpha bounded by 1/r_i + 1/r_{i+1}", rel, rel > TOL_GRAD_ALPHA)
 
-    c = checks["ball below h* meets <= 2 adjacent edges"]
     hit = p.edge_distances(x) <= gc.h_star * (1.0 - 1e-9)
     cnt = hit.sum(axis=0)
     # two edges hit are adjacent when they are consecutive in the loop
     adjacent = (hit & np.roll(hit, -1, axis=0)).any(axis=0)
-    bad = np.count_nonzero((cnt > 2) | ((cnt == 2) & ~adjacent))
-    c.add(samples, bad, float(cnt.max()))
+    checks.tally("ball below h* meets <= 2 adjacent edges", cnt,
+                 (cnt > 2) | ((cnt == 2) & ~adjacent))
 
-    c = checks["weight sum >= 2pi (unit diameter)"]
     wsum = _mvc_weights(g).sum(axis=0)
     wsum *= g.scale  # to caller units; in place, as a new array here added page faults
-    c.add(samples, np.count_nonzero(wsum < 2.0 * np.pi - TOL_WEIGHT_SUM),
-          float((2.0 * np.pi - wsum).max()))
+    checks.tally("weight sum >= 2pi (unit diameter)", 2.0 * np.pi - wsum,
+                 wsum < 2.0 * np.pi - TOL_WEIGHT_SUM)
 
     # Gradient identities are evaluated on their own, less boundary-hugging
     # sample set: the quotient rule runs through intermediates that grow
@@ -293,34 +292,28 @@ def audit_polygon(
     for kind in KINDS:
         lam, _ = interior_coordinates(p, g, kind, gradients=False)
 
-        c = checks[f"nonnegative ({kind})"]
-        c.add(samples * n, np.count_nonzero(lam < TOL_NONNEGATIVE), float((-lam).max()))
+        checks.tally(f"nonnegative ({kind})", -lam, lam < TOL_NONNEGATIVE)
 
-        c = checks[f"partition of unity ({kind})"]
         err = np.abs(lam.sum(axis=0) - 1.0)
-        c.add(samples, np.count_nonzero(err > TOL_PARTITION), err.max())
+        checks.tally(f"partition of unity ({kind})", err, err > TOL_PARTITION)
 
-        c = checks[f"linear precision ({kind})"]
         err = np.abs(vt @ lam - x.T).max(axis=0)
-        c.add(samples, np.count_nonzero(err > TOL_LINEAR_PRECISION * p.diameter), err.max())
+        checks.tally(f"linear precision ({kind})", err, err > TOL_LINEAR_PRECISION * p.diameter)
 
         _, glam = interior_coordinates(p, gg, kind, gradients=True)
 
-        c = checks[f"grad sum zero ({kind})"]
         err = np.abs(glam.sum(axis=1)).max(axis=0)
-        c.add(samples, np.count_nonzero(err > TOL_GRAD_SUM), err.max())
+        checks.tally(f"grad sum zero ({kind})", err, err > TOL_GRAD_SUM)
 
-        c = checks[f"grad linear precision ({kind})"]
         # jac[b, a] = sum_i v_i,a d(lambda_i)/dx_b, the identity exactly
         jac = vt @ glam
         err = np.abs(jac - np.eye(2)[:, :, None]).max(axis=(0, 1))
-        c.add(samples, np.count_nonzero(err > TOL_GRAD_SUM), err.max())
+        checks.tally(f"grad linear precision ({kind})", err, err > TOL_GRAD_SUM)
 
-        c = checks[f"analytic vs FD gradient ({kind})"]
         _, glam_f = interior_coordinates(p, gf, kind, gradients=True)
         fd = fd_gradient(p, xf, kind=kind).transpose(2, 1, 0)
         rel = np.hypot(*(glam_f - fd)) / np.maximum(np.hypot(*glam_f), 0.01)
-        c.add(FD_SAMPLES * n, np.count_nonzero(rel > TOL_FD_MATCH), rel.max())
+        checks.tally(f"analytic vs FD gradient ({kind})", rel, rel > TOL_FD_MATCH)
 
 
 def run_property_audit(

@@ -16,6 +16,7 @@ from mvcoords.audit import (
     run_property_audit,
     sample_interior,
 )
+from mvcoords.cli import main
 from mvcoords.errors import EvaluationError, PolygonError
 from mvcoords.geometry import (
     Polygon,
@@ -301,6 +302,56 @@ def test_small_audit_run_is_clean():
     # per-sample checks saw every sample, per-polygon checks one per polygon
     assert by_name["angle sum 2pi"].checked == 5 * 300
     assert by_name["h* at most half min vertex gap"].checked == 5
+
+
+def test_every_row_counts_the_cases_it_checked(monkeypatch):
+    """A row's count is the size of the residual it tallied, so a residual
+    of the wrong shape shows here: per sample, per sample and vertex, per
+    FD sample and vertex, or once per polygon."""
+    sizes = []
+
+    def recorded(rng):
+        p = random_convex_polygon(rng)
+        sizes.append(p.n)
+        return p
+
+    monkeypatch.setattr(audit, "random_convex_polygon", recorded)
+    polygons, samples = 3, 200
+    checked = {c.name: c.checked for c in run_property_audit(polygons, samples, seed=3).checks}
+    vertices = sum(sizes)
+    assert len(sizes) == polygons
+    data_dependent = ["close vertex belongs to the wide edge", "close vertex has wide adjacent angles"]
+    want = dict.fromkeys(CHECK_NAMES, polygons * samples)
+    want["h* at most half min vertex gap"] = polygons
+    for name in ["grad alpha bounded by 1/r_i + 1/r_{i+1}", "nonnegative (mvc)", "nonnegative (wachspress)"]:
+        want[name] = samples * vertices
+    for kind in coords.KINDS:
+        want[f"analytic vs FD gradient ({kind})"] = audit.FD_SAMPLES * vertices
+    for name in data_dependent:
+        assert checked.pop(name) >= polygons
+        del want[name]
+    assert checked == want
+
+
+def test_nan_residual_is_a_violation(monkeypatch, capsys):
+    """NaN fails every comparison, so a check would pass it unless NaN
+    counts on its own: one NaN subtended angle gives the angle-sum row a
+    violation and a NaN worst, and the command exit code 1."""
+    calls = []
+
+    def poisoned(p, points):
+        g = point_geometry_batch(p, points)
+        if not calls:
+            g.alpha[0, 0] = np.nan  # vertex 0 at the first sample of the first polygon
+        calls.append(len(points))
+        return g
+
+    monkeypatch.setattr(audit, "point_geometry_batch", poisoned)
+    rc = main(["properties", "--polygons", "2", "--samples", "200", "--seed", "3"])
+    row = next(line for line in capsys.readouterr().out.splitlines() if "angle sum 2pi" in line)
+    assert int(row.split("violations")[1].split()[0]) >= 1
+    assert row.endswith("worst nan")
+    assert rc == 1
 
 
 def test_audit_is_deterministic():
