@@ -152,13 +152,6 @@ class CheckCounter:
     violations: int = 0
     worst: float = 0.0
 
-    def add(self, n_checked: int, bad: int, worst: float) -> None:
-        """Count ``n_checked`` more cases and ``bad`` more violations; the
-        worst is kept as NaN once a NaN is seen."""
-        self.checked += int(n_checked)
-        self.violations += int(bad)
-        self.worst = float(np.maximum(self.worst, worst))
-
 
 class _CheckCounters(dict):
     """Counters by check name, each created the first time its check runs,
@@ -171,9 +164,13 @@ class _CheckCounters(dict):
     def tally(self, name: str, residual, bad) -> None:
         """Add one check's residuals to its row: every entry is a case, one
         that ``bad`` flags or that is NaN a violation, and the largest (NaN
-        if any is) the worst."""
+        if any is, and NaN is kept once seen) the worst. An empty residual
+        adds no case."""
         residual = np.asarray(residual)
-        self[name].add(residual.size, np.count_nonzero(bad | np.isnan(residual)), residual.max())
+        counter = self[name]
+        counter.checked += residual.size
+        counter.violations += int(np.count_nonzero(bad | np.isnan(residual)))
+        counter.worst = float(np.maximum(counter.worst, residual.max(initial=0)))
 
 
 @dataclass
@@ -204,16 +201,14 @@ class PropertyAuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _far_close_vertices(small_r: np.ndarray, big_a: np.ndarray) -> tuple[int, int]:
-    """Count (wide angles, those with a close vertex off the wide edge).
+def _far_close_vertices(small_r: np.ndarray, big_a: np.ndarray) -> np.ndarray:
+    """For each wide angle, the number of close vertices off its edge.
 
     ``small_r`` and ``big_a`` are (n, m) vertex-major masks of vertices
     within h* and angles above alpha*; angle i spans the edge from vertex i
-    to i + 1.
+    to i + 1, and the counts follow ``np.nonzero(big_a)``.
     """
-    # per angle i, the close vertices other than i and i + 1
-    off_edge = small_r.sum(axis=0) - small_r - np.roll(small_r, -1, axis=0)
-    return int(np.count_nonzero(big_a)), int(np.count_nonzero(big_a & (off_edge > 0)))
+    return (small_r.sum(axis=0) - small_r - np.roll(small_r, -1, axis=0))[big_a]
 
 
 def audit_polygon(
@@ -251,16 +246,12 @@ def audit_polygon(
     cnt = big_a.sum(axis=0)
     checks.tally("at most one angle above alpha*", cnt, cnt > 1)
 
-    # these two rows count once per polygon, not one case per residual
-    wide, bad = _far_close_vertices(small_r, big_a)
-    checks["close vertex belongs to the wide edge"].add(wide if wide else samples, bad, bad)
+    off_edge = _far_close_vertices(small_r, big_a)
+    checks.tally("close vertex belongs to the wide edge", off_edge, off_edge > 0)
 
     spread = (np.roll(g.alpha, 1, axis=0) + g.alpha)[small_r]
-    if spread.size:
-        checks.tally("close vertex has wide adjacent angles", 2.0 * np.pi / 3.0 - spread,
-                     spread <= 2.0 * np.pi / 3.0)
-    else:
-        checks["close vertex has wide adjacent angles"].add(samples, 0, 0.0)
+    checks.tally("close vertex has wide adjacent angles", 2.0 * np.pi / 3.0 - spread,
+                 spread <= 2.0 * np.pi / 3.0)
 
     bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=0)
     rel = np.hypot(g.grad_alpha[0], g.grad_alpha[1]) / bound - 1.0

@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .audit import D_STAR, GAMMA_MAX, run_property_audit
-from .coords import BAND, KINDS, NONFINITE, OK, OUTSIDE, STATUS_NAMES, evaluate, sup_gradient_scan
+from .coords import (BAND, KINDS, MAX_GRID, NONFINITE, OK, OUTSIDE, STATUS_NAMES, evaluate,
+                     sup_gradient_scan)
 from .errors import NoConvergence
 from .fem import convergence_study
 from .geometry import (
@@ -68,8 +69,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         fixed.append((float(parts[0]), float(parts[1])))
     if not fixed and not args.grid:
         raise ValueError("eval needs --point and/or --grid")
-    if args.grid and args.grid < 2:
-        raise ValueError("--grid must be at least 2")
+    if args.grid and not 2 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must lie in 2..{MAX_GRID}")
 
     p = load_polygon(args.polygon)
     pts = np.asarray(fixed, dtype=float).reshape(-1, 2)
@@ -131,8 +132,8 @@ def cmd_pentagon_study(args: argparse.Namespace) -> int:
     bounding-box lattice, for plotting.
     """
     pentagons = [(a, apex_pentagon(a)) for a in map(float, args.apex.split(","))]
-    if args.grid < 8:
-        raise ValueError("--grid must be at least 8")
+    if not 8 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must lie in 8..{MAX_GRID}")
 
     rows = ["apex,kind,max_grad_norm"]
     surface = ["apex,kind,x,y,lambda,grad_x,grad_y"] if args.surface else None

@@ -302,6 +302,10 @@ _SCAN_PAD = 1.0 - 1e-9
 # A scan evaluates its points in blocks of _SCAN_BLOCK // n, so each (n, m)
 # plane of a block holds at most this many values (256 KiB) and stays in L2.
 _SCAN_BLOCK = 2**15
+# The largest scan resolution, and the largest --grid of the command line.
+# At this size an eval lattice peaks at 0.55 GB RSS for a 5-vertex polygon
+# and 1.1 GB for 10 vertices, and the default --surface dump at 0.88 GB.
+MAX_GRID = 768
 
 
 def _scan_grid(p: Polygon, resolution: int, margin: float) -> np.ndarray:
@@ -363,8 +367,8 @@ def sup_gradient_scan(
     depends on the block size. The first point whose kernel output is not
     finite raises EvaluationError naming its index among the kept points.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
+    if not 8 <= resolution <= MAX_GRID:
+        raise ValueError(f"resolution must lie in 8..{MAX_GRID}")
     margin = 1e-4 * p.diameter if margin is None else float(margin)
     if not p.eps_interior < margin < np.inf:
         raise ValueError("margin must be finite and exceed the interior tolerance")

@@ -1,5 +1,6 @@
 """Randomized property audit: generator quality, determinism, controls."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -354,6 +355,25 @@ def test_nan_residual_is_a_violation(monkeypatch, capsys):
     assert rc == 1
 
 
+def test_close_vertex_rows_with_nothing_to_check(monkeypatch, capsys):
+    """With h* far below the sample margin and alpha* at pi, no sample has
+    a close vertex or a wide angle, so the two close-vertex rows test no
+    case: each counts none and the audit still completes."""
+    real = audit.geometric_constants
+
+    def shrunk(p):
+        return dataclasses.replace(real(p), h_star=1e-12 * p.diameter, alpha_star=np.pi)
+
+    monkeypatch.setattr(audit, "geometric_constants", shrunk)
+    rc = main(["properties", "--polygons", "3", "--samples", "200", "--seed", "3"])
+    rows = {line.split("  checked")[0].strip(): line.split() for line in
+            capsys.readouterr().out.splitlines() if "  checked " in line}
+    for name in ["close vertex belongs to the wide edge", "close vertex has wide adjacent angles"]:
+        assert rows[name][-5:] == ["0", "violations", "0", "worst", "0.000e+00"]
+    assert rows["angle sum 2pi"][-5] == str(3 * 200)
+    assert rc == 0
+
+
 def test_audit_is_deterministic():
     a = run_property_audit(3, 200, seed=9)
     b = run_property_audit(3, 200, seed=9)
@@ -390,20 +410,20 @@ def test_report_text_layout():
 
 
 def test_far_close_vertices_matches_per_angle_loop():
-    """The mask form of "close vertex belongs to the wide edge" counts the
-    same violations as a loop over every wide angle."""
+    """The mask form of "close vertex belongs to the wide edge" gives each
+    wide angle the same off-edge count as a loop over every wide angle."""
     rng = np.random.default_rng(3)
     for n in (3, 5, 8):
         # the masks are vertex-major, (n, m), drawn point by point
         small_r = (rng.random((400, n)) < 0.3).T
         big_a = (rng.random((400, n)) < 0.2).T
-        bad = 0
+        off = []
         ii, cols = np.nonzero(big_a)
         for i, col in zip(ii, cols):
             js = np.nonzero(small_r[:, col])[0]
-            bad += int(np.any((js != i) & (js != (i + 1) % n)))
-        assert bad > 0
-        assert _far_close_vertices(small_r, big_a) == (len(ii), bad)
+            off.append(int(np.count_nonzero((js != i) & (js != (i + 1) % n))))
+        assert max(off) > 0
+        assert _far_close_vertices(small_r, big_a).tolist() == off
 
 
 @pytest.mark.parametrize("poisoned_call", [0, 1, 2, 3], ids=["x", "xg", "xf", "fd-stencil"])

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mvcoords
-from mvcoords import coords
+from mvcoords import cli, coords
 from mvcoords.cli import main
 from mvcoords.coords import (
     mvc_gradients,
@@ -414,6 +414,28 @@ def test_pentagon_study_validates_apex(capsys):
         assert rc == 1
         assert out == ""
         assert err == "error: ValueError: apex height must be finite and exceed 1\n"
+
+
+@pytest.mark.parametrize("command, least", [
+    (["eval", "--polygon", "square"], 2),
+    (["pentagon-study", "--apex", "1.5"], 8),
+    (["pentagon-study", "--apex", "1.5", "--surface", "surface.csv"], 8),
+], ids=["eval", "pentagon-study", "pentagon-study-surface"])
+def test_grid_past_the_limit_is_an_error(command, least, polys, tmp_path, monkeypatch, capsys):
+    """A grid one past MAX_GRID exits with code 1 and an error line, and
+    no lattice or scan grid is built for it."""
+    def refused(*args):
+        raise AssertionError("a grid was built past the limit")
+
+    monkeypatch.setattr(cli, "_bbox_lattice", refused)
+    monkeypatch.setattr(coords, "_scan_grid", refused)
+    monkeypatch.chdir(tmp_path)
+    argv = [polys.get(arg, arg) for arg in command] + ["--grid", str(coords.MAX_GRID + 1)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: ValueError: --grid must lie in {least}..{coords.MAX_GRID}\n"
+    assert not (tmp_path / "surface.csv").exists()
 
 
 def test_pentagon_study_reruns_byte_identical(tmp_path, capsys):
