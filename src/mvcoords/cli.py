@@ -30,6 +30,9 @@ from .geometry import (
     normalize_to_unit_diameter,
 )
 
+# grid^2 * n: eval's memory grows with both, about 1.1 GB at this bound
+MAX_GRID_VALUES = 10 * MAX_GRID**2
+
 
 def _emit(text: str, out: str | None) -> None:
     if out:
@@ -73,11 +76,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"--grid must lie in 2..{MAX_GRID}")
 
     p = load_polygon(args.polygon)
+    n = p.n
+    if args.grid and args.grid**2 * n > MAX_GRID_VALUES:
+        raise ValueError(f"--grid {args.grid} on {n} vertices needs {args.grid**2 * n} "
+                         f"lattice values, more than the {MAX_GRID_VALUES} allowed")
     pts = np.asarray(fixed, dtype=float).reshape(-1, 2)
     if args.grid:
         pts = np.concatenate([pts, _bbox_lattice(p, args.grid)])
 
-    n = len(p.vertices)
     ev = evaluate(p, pts, args.kind, gradients=True)
 
     lines = ["x,y,status" + "".join(f",lambda_{i},grad_x_{i},grad_y_{i}" for i in range(n))]

@@ -23,6 +23,8 @@ from .errors import DegenerateEdge, NonConvex, PolygonError, WrongOrientation
 # Relative tolerances: geometry predicates scale them by the polygon size.
 EPS_GEOM = 1e-12
 EPS_EVAL = 1e-9
+# Validation and h* each hold every vertex pair at once: about 0.8 GB at the cap
+MAX_VERTICES = 4096
 
 
 def _rot_ccw(u: np.ndarray) -> np.ndarray:
@@ -47,6 +49,8 @@ class Polygon:
             raise PolygonError(f"vertices are not an array of numbers: {exc}") from None
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise PolygonError("need an (n, 2) array of at least 3 vertices")
+        if v.shape[0] > MAX_VERTICES:
+            raise PolygonError(f"{v.shape[0]} vertices, more than the {MAX_VERTICES} allowed")
         if not np.all(np.isfinite(v)):
             raise PolygonError("vertices must be finite")
 
@@ -165,6 +169,44 @@ class Polygon:
         return _inscribed_circle(self)[1]
 
     @cached_property
+    def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Move every edge line inward at unit speed, in O(n^2): edge k
+        vanishes when its line passes through the meeting point of its two
+        current neighbours, at the point c and time t solving n_j . c - t = b_j
+        for the three lines, and removing the first to vanish changes only its
+        neighbours' times. The normals n_j are those of ``edge_lines``, the
+        offsets b_j in the frame about the vertex centroid, so the sweep is
+        similarity invariant. A run of collinear edges is one line: edge k
+        joins the line of edge k - 1 when their turn sine is at most EPS_GEOM.
+        The read-only table holds every edge's n and b, each line's first
+        edge, and the (cx, cy, t) where each line vanishes."""
+        normal = self.edge_lines[0]
+        offset = np.sum(normal * ((self._vertices - self.centroid) * self._scale), axis=1)
+        line = np.flatnonzero(np.roll(self._sine, 1) > EPS_GEOM)
+        rows = np.column_stack([normal[line], -np.ones(len(line))])
+        prev = np.roll(np.arange(len(line)), 1)
+        succ = np.roll(np.arange(len(line)), -1)
+
+        def vanish(k: np.ndarray) -> np.ndarray:
+            """(cx, cy, t) where each line k meets its current neighbours."""
+            trio = np.stack([prev[k], k, succ[k]], axis=-1)
+            return np.linalg.solve(rows[trio], offset[line[trio]][..., None])[..., 0]
+
+        event = vanish(np.arange(len(line)))
+        t = event[:, 2].copy()
+        for _ in range(len(line) - 3):
+            k = int(np.argmin(t))
+            t[k] = np.inf
+            a, c = prev[k], succ[k]
+            succ[a], prev[c] = c, a
+            pair = np.array([a, c])
+            event[pair] = vanish(pair)
+            t[pair] = event[pair, 2]
+        for table in (normal, offset, line, event):
+            table.setflags(write=False)
+        return normal, offset, line, event
+
+    @cached_property
     def bbox(self) -> tuple[float, float, float, float]:
         v = self._vertices
         return (float(v[:, 0].min()), float(v[:, 1].min()),
@@ -269,48 +311,11 @@ def _frame_table(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, flo
     return e, np.hypot(e[:, 0], e[:, 1]), turn, area2
 
 
-def _offset_sweep(p: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Move every edge line inward at unit speed, in O(n^2): edge k vanishes
-    when its line passes through the meeting point of its two current
-    neighbours, at the point c and time t solving n_j . c - t = b_j for the
-    three lines, and removing the first to vanish changes only its
-    neighbours' times. The normals n_j are those of ``edge_lines``, the
-    offsets b_j in the frame about the vertex centroid, so the sweep is
-    similarity invariant. A run of collinear edges is one line: edge k joins
-    the line of edge k - 1 when their turn sine, as the convexity test in
-    ``Polygon`` took it, is at most EPS_GEOM. Returns every edge's n and b,
-    each line's first edge, and the (cx, cy, t) where each line vanishes."""
-    normal = p.edge_lines[0]
-    offset = np.sum(normal * ((p.vertices - p.centroid) * p.scale), axis=1)
-    line = np.flatnonzero(np.roll(p._sine, 1) > EPS_GEOM)
-    rows = np.column_stack([normal[line], -np.ones(len(line))])
-    rhs = offset[line]
-    prev = np.roll(np.arange(len(line)), 1)
-    succ = np.roll(np.arange(len(line)), -1)
-
-    def vanish(k: np.ndarray) -> np.ndarray:
-        """(cx, cy, t) where each line k meets its current neighbours."""
-        trio = np.stack([prev[k], k, succ[k]], axis=-1)
-        return np.linalg.solve(rows[trio], rhs[trio][..., None])[..., 0]
-
-    event = vanish(np.arange(len(line)))
-    t = event[:, 2].copy()
-    for _ in range(len(line) - 3):
-        k = int(np.argmin(t))
-        t[k] = np.inf
-        a, c = prev[k], succ[k]
-        succ[a], prev[c] = c, a
-        pair = np.array([a, c])
-        event[pair] = vanish(pair)
-        t[pair] = event[pair, 2]
-    return normal, offset, line, event
-
-
 def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
     """Centre and radius of a largest inscribed circle: of the points where
-    :func:`_offset_sweep` sees a line vanish, the deepest inside (a near-tie
-    can leave the last one ill conditioned, as on the flat apex pentagon)."""
-    normal, offset, _, event = _offset_sweep(p)
+    the sweep sees a line vanish, the deepest inside (a near-tie can leave
+    the last one ill conditioned, as on the flat apex pentagon)."""
+    normal, offset, _, event = p._sweep
     depth = (event[:, :2] @ normal.T - offset).min(axis=1)
     best = int(np.argmax(depth))
     return p.centroid + event[best, :2] / p.scale, float(depth[best]) / p.scale
@@ -319,7 +324,7 @@ def _inscribed_circle(p: Polygon) -> tuple[np.ndarray, float]:
 def _inset(p: Polygon, margin: float) -> np.ndarray:
     """Counterclockwise vertices of {x : every edge-line distance >= margin},
     or none when fewer than three lines of the sweep reach that deep."""
-    normal, offset, line, event = _offset_sweep(p)
+    normal, offset, line, event = p._sweep
     keep = line[event[:, 2] > margin * p.scale]
     if len(keep) < 3:
         return np.empty((0, 2))

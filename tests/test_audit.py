@@ -192,6 +192,26 @@ def test_sample_interior_draws_just_below_the_inradius():
             sample_interior(square, np.random.default_rng(0), 1, margin=margin)
 
 
+def test_inradius_and_every_inset_share_one_sweep(monkeypatch):
+    """The inward-offset sweep runs once per polygon: reading the inradius
+    and then drawing at the audit's three margins reuses its table."""
+    runs = []
+    sweep = Polygon._sweep.func
+
+    def counted(p):
+        runs.append(p)
+        return sweep(p)
+
+    monkeypatch.setattr(Polygon._sweep, "func", counted)
+    p = Polygon(random_convex_polygon(np.random.default_rng(3)).vertices)
+    runs.clear()  # the draw read the inradius of polygons it made itself
+    rng = np.random.default_rng(0)
+    assert p.inradius > 0.0
+    for margin in (1e-7, 1e-3, 1e-2):
+        assert len(sample_interior(p, rng, 100, margin=margin * p.diameter)) == 100
+    assert runs == [p]
+
+
 @pytest.mark.parametrize(("count", "margin"), [
     (1000, -0.2), (1000, -np.inf), (1000, np.inf), (1000, np.nan), (-1, 0.1), (-1, None),
 ])

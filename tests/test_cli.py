@@ -438,6 +438,27 @@ def test_grid_past_the_limit_is_an_error(command, least, polys, tmp_path, monkey
     assert not (tmp_path / "surface.csv").exists()
 
 
+def test_grid_too_large_for_the_vertex_count_is_an_error(tmp_path, monkeypatch, capsys):
+    """eval's memory grows with grid^2 * n, so a lattice of more than
+    MAX_GRID_VALUES values on the polygon read is refused before it is
+    built; on a regular 64-gon --grid 300 (5.76M values) still builds."""
+    def refused(*args):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(cli, "_bbox_lattice", refused)
+    a = 2.0 * np.pi * np.arange(64) / 64
+    path = tmp_path / "64-gon.json"
+    path.write_text(json.dumps({"vertices": np.column_stack([np.cos(a), np.sin(a)]).tolist()}))
+    with pytest.raises(AssertionError, match="lattice was built"):
+        run_cli(capsys, "eval", "--polygon", str(path), "--grid", "300")
+    rc, out, err = run_cli(capsys, "eval", "--polygon", str(path), "--grid", "310")
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: ValueError: --grid 310 on 64 vertices needs 6150400 lattice values, "
+                   f"more than the {cli.MAX_GRID_VALUES} allowed\n")
+    assert cli.MAX_GRID_VALUES == 5_898_240
+
+
 def test_pentagon_study_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

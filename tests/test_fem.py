@@ -19,6 +19,7 @@ from mvcoords.errors import NoConvergence, NonConvex, PolygonError
 from mvcoords.fem import (
     DEFAULT_ASSEMBLY_RULE,
     DEFAULT_ERROR_RULE,
+    ConvergenceReport,
     LinearSystem,
     assemble,
     build_mesh,
@@ -638,18 +639,20 @@ def test_affine_patch_on_single_valence_meshes(family):
     assert max(solution_errors(mesh, coeffs, u)) < 1e-12
 
 
-def test_linear_study_flags_rates():
+def test_roundoff_errors_flag_rates():
     """Errors at roundoff level carry no rate information, so the report
-    flags them instead of printing log2 of noise."""
-    report = convergence_study([1, 2], u_exact=field_linear(1.0, 1.0, 0.0))
-    assert all(e < 1e-9 for e in report.l2_errors)
-    assert all(e < 1e-9 for e in report.h1_errors)
-    assert all(np.isnan(r) for r in report.l2_rates)
+    flags them instead of printing log2 of noise; a rate between two
+    resolved errors is still printed."""
+    report = ConvergenceReport(ns=[1, 2, 4], hs=[1.0, 0.5, 0.25],
+                               l2_errors=[4e-3, 1e-3, 3e-16], h1_errors=[2e-15, 5e-16, 1e-15])
+    assert report.l2_rates[0] == 2.0
+    assert np.isnan(report.l2_rates[1])
     assert all(np.isnan(r) for r in report.h1_rates)
     # flagged cells render blank, not "nan"
     assert "nan" not in report.to_csv()
     assert "nan" not in report.to_markdown()
-    assert json.loads(report.to_json())["l2_rates"] == [None]
+    assert json.loads(report.to_json())["l2_rates"] == [2.0, None]
+    assert json.loads(report.to_json())["h1_rates"] == [None, None]
 
 
 # ----------------------------------------------------------------- conformity

@@ -29,6 +29,7 @@ from mvcoords.errors import (
     WrongOrientation,
 )
 from mvcoords.geometry import (
+    MAX_VERTICES,
     Polygon,
     _frame_table,
     _inscribed_circle,
@@ -110,6 +111,19 @@ def test_clockwise_input_reversed_with_warning():
     assert_allclose(p.vertices[0], (1.0, 0.0))
 
 
+def test_too_many_vertices_rejected_before_the_pair_table(monkeypatch):
+    """Past MAX_VERTICES the polygon is refused by count, before the vertex
+    pair table (which grows as n^2) is built; at the cap it is built."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the vertex pair table was built")
+
+    monkeypatch.setattr(np, "triu_indices", refused)
+    with pytest.raises(PolygonError, match=rf"^{MAX_VERTICES + 1} vertices, .* {MAX_VERTICES} "):
+        regular_polygon(MAX_VERTICES + 1)
+    with pytest.raises(AssertionError, match="pair table"):
+        regular_polygon(MAX_VERTICES)
+
+
 def test_nonfinite_vertex_rejected():
     with pytest.raises(PolygonError):
         Polygon([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)])
@@ -168,6 +182,13 @@ def test_inradius_of_regular_polygons(n):
     r = p.inradius
     assert time.perf_counter() - t0 < 0.5
     assert r == pytest.approx(np.cos(np.pi / n), rel=1e-12)
+
+
+def test_sweep_table_is_read_only(polygon_suite):
+    for p in [SQUARE, OCT8, HEXAGON, apex_pentagon(1.001), *polygon_suite]:
+        for table in p._sweep:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 def edge_line_depth(p: Polygon, x) -> float:
