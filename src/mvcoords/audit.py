@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coords import KINDS, _mvc_weights, fd_gradient, interior_coordinates
+from .coords import _SCAN_BLOCK, KINDS, fd_gradient, interior_coordinates
 from .errors import PolygonError
 from .geometry import (
+    GeometricConstants,
     Polygon,
     _inset,
+    _with_neighbour,
     geometric_constants,
     min_vertex_distance,
     normalize_to_unit_diameter,
@@ -28,6 +30,9 @@ GAMMA_MAX = 6.0
 D_STAR = 0.1
 MAX_DRAWS = 2000
 FD_SAMPLES = 10  # points for the analytic vs FD gradient check
+# The audit's working set is flat in the sample count, but both sample sets
+# are drawn whole: 151 MB peak RSS at this count on a regular 10-gon
+MAX_SAMPLES = 10**6
 
 # Slacks for the audited inequalities; every check has zero violations at
 # these on the seeded reports.
@@ -208,7 +213,8 @@ def _far_close_vertices(small_r: np.ndarray, big_a: np.ndarray) -> np.ndarray:
     within h* and angles above alpha*; angle i spans the edge from vertex i
     to i + 1, and the counts follow ``np.nonzero(big_a)``.
     """
-    return (small_r.sum(axis=0) - small_r - np.roll(small_r, -1, axis=0))[big_a]
+    i, j = np.nonzero(big_a)
+    return small_r.sum(axis=0)[j] - small_r[i, j] - small_r[(i + 1) % len(small_r), j]
 
 
 def audit_polygon(
@@ -219,23 +225,48 @@ def audit_polygon(
 ) -> None:
     """Run every audited property on one unit-diameter polygon.
 
-    Each sample set gets one point geometry, which the geometric checks
-    and both coordinate kinds read as (n, m) vertex-major planes. The sets
-    keep a margin above the interior tolerance, so they go to the interior
-    kernels unclassified; non-finite kernel output stops the audit.
+    The sample sets are drawn whole, then walked together in the
+    sup-gradient scan's blocks: near-equal runs of at most
+    ``_SCAN_BLOCK // n`` points, so the working set does not grow with the
+    sample count and no block holds a lone point (whose BLAS and sum paths
+    round differently). Each block gets one point geometry per set, read
+    as (n, m) vertex-major planes, and tallies every row once; counts add
+    and worst cases take a maximum, so the report does not depend on the
+    blocks. The sets keep a margin above the interior tolerance, so they go
+    to the interior kernels unclassified; non-finite kernel output stops
+    the audit.
     """
     gc = geometric_constants(p)
     x = sample_interior(p, rng, samples, margin=1e-7 * p.diameter)
+    # Gradient identities are evaluated on their own, less boundary-hugging
+    # sample set: the quotient rule runs through intermediates that grow
+    # like 1/distance, so the identity residual picks up roundoff roughly
+    # like eps/distance^1.5 and a 1e-9 tolerance is only meaningful with
+    # some standoff. Values are identity-protected and keep the tight set.
+    xg = sample_interior(p, rng, samples, margin=1e-3 * p.diameter)
+    xf = sample_interior(p, rng, FD_SAMPLES, margin=0.01 * p.diameter)
+    blocks = -(-samples // max(1, _SCAN_BLOCK // p.n))
+    for k in range(blocks):
+        part = slice(k * samples // blocks, (k + 1) * samples // blocks)
+        _audit_block(p, gc, x[part], xg[part], xf if k == 0 else None, checks)
+
+
+def _audit_block(p: Polygon, gc: GeometricConstants, x: np.ndarray, xg: np.ndarray,
+                 xf: np.ndarray | None, checks: _CheckCounters) -> None:
+    """Tally every row on one block of the value samples ``x`` and the
+    gradient samples ``xg``; the block that is given the FD samples ``xf``
+    also tallies the once-per-polygon rows, in their places in the report."""
     g = point_geometry_batch(p, x)
 
     err = np.abs(g.alpha.sum(axis=0) - 2.0 * np.pi)
     checks.tally("angle sum 2pi", err, err > TOL_ANGLE_SUM)
 
-    # The separation radius is computed as a supremum, so it can equal
-    # d_min/2 exactly (the unit square does); the audited bound is <=.
-    half = 0.5 * gc.d_min
-    checks.tally("h* at most half min vertex gap", gc.h_star / half,
-                 not gc.h_star <= half * (1.0 + 1e-12))
+    if xf is not None:
+        # The separation radius is computed as a supremum, so it can equal
+        # d_min/2 exactly (the unit square does); the audited bound is <=.
+        half = 0.5 * gc.d_min
+        checks.tally("h* at most half min vertex gap", gc.h_star / half,
+                     not gc.h_star <= half * (1.0 + 1e-12))
 
     small_r = g.r < gc.h_star * g.scale  # g.r is in frame units
     big_a = g.alpha > gc.alpha_star
@@ -249,35 +280,29 @@ def audit_polygon(
     off_edge = _far_close_vertices(small_r, big_a)
     checks.tally("close vertex belongs to the wide edge", off_edge, off_edge > 0)
 
-    spread = (np.roll(g.alpha, 1, axis=0) + g.alpha)[small_r]
+    i, j = np.nonzero(small_r)
+    spread = g.alpha[i - 1, j] + g.alpha[i, j]
     checks.tally("close vertex has wide adjacent angles", 2.0 * np.pi / 3.0 - spread,
                  spread <= 2.0 * np.pi / 3.0)
 
-    bound = 1.0 / g.r + 1.0 / np.roll(g.r, -1, axis=0)
+    bound = _with_neighbour(np.add, 1.0 / g.r, 1)
     rel = np.hypot(g.grad_alpha[0], g.grad_alpha[1]) / bound - 1.0
     checks.tally("grad alpha bounded by 1/r_i + 1/r_{i+1}", rel, rel > TOL_GRAD_ALPHA)
 
     hit = p.edge_distances(x) <= gc.h_star * (1.0 - 1e-9)
     cnt = hit.sum(axis=0)
     # two edges hit are adjacent when they are consecutive in the loop
-    adjacent = (hit & np.roll(hit, -1, axis=0)).any(axis=0)
+    adjacent = (hit[:-1] & hit[1:]).any(axis=0) | (hit[-1] & hit[0])
     checks.tally("ball below h* meets <= 2 adjacent edges", cnt,
                  (cnt > 2) | ((cnt == 2) & ~adjacent))
 
-    wsum = _mvc_weights(g).sum(axis=0)
+    wsum = g.mvc_weights.sum(axis=0)  # the plane the mvc kernel reads below
     wsum *= g.scale  # to caller units; in place, as a new array here added page faults
     checks.tally("weight sum >= 2pi (unit diameter)", 2.0 * np.pi - wsum,
                  wsum < 2.0 * np.pi - TOL_WEIGHT_SUM)
 
-    # Gradient identities are evaluated on their own, less boundary-hugging
-    # sample set: the quotient rule runs through intermediates that grow
-    # like 1/distance, so the identity residual picks up roundoff roughly
-    # like eps/distance^1.5 and a 1e-9 tolerance is only meaningful with
-    # some standoff. Values are identity-protected and keep the tight set.
-    xg = sample_interior(p, rng, samples, margin=1e-3 * p.diameter)
     gg = point_geometry_batch(p, xg)
-    xf = sample_interior(p, rng, FD_SAMPLES, margin=0.01 * p.diameter)
-    gf = point_geometry_batch(p, xf)
+    gf = None if xf is None else point_geometry_batch(p, xf)
     vt = p.vertices.T  # vt @ lam is sum_i v_i lambda_i, one row per coordinate
 
     for kind in KINDS:
@@ -301,10 +326,11 @@ def audit_polygon(
         err = np.abs(jac - np.eye(2)[:, :, None]).max(axis=(0, 1))
         checks.tally(f"grad linear precision ({kind})", err, err > TOL_GRAD_SUM)
 
-        _, glam_f = interior_coordinates(p, gf, kind, gradients=True)
-        fd = fd_gradient(p, xf, kind=kind).transpose(2, 1, 0)
-        rel = np.hypot(*(glam_f - fd)) / np.maximum(np.hypot(*glam_f), 0.01)
-        checks.tally(f"analytic vs FD gradient ({kind})", rel, rel > TOL_FD_MATCH)
+        if gf is not None:
+            _, glam_f = interior_coordinates(p, gf, kind, gradients=True)
+            fd = fd_gradient(p, xf, kind=kind).transpose(2, 1, 0)
+            rel = np.hypot(*(glam_f - fd)) / np.maximum(np.hypot(*glam_f), 0.01)
+            checks.tally(f"analytic vs FD gradient ({kind})", rel, rel > TOL_FD_MATCH)
 
 
 def run_property_audit(
@@ -314,10 +340,14 @@ def run_property_audit(
 ) -> PropertyAuditReport:
     """Audit every property over freshly generated random polygons.
 
-    Both counts must be at least 1; smaller counts raise ValueError.
+    Both counts must be at least 1, and the sample count at most
+    MAX_SAMPLES; any other count raises ValueError.
     """
     if n_polygons < 1 or samples_per_polygon < 1:
         raise ValueError("polygon and sample counts must be at least 1")
+    if samples_per_polygon > MAX_SAMPLES:
+        raise ValueError(f"{samples_per_polygon} samples per polygon, more than the "
+                         f"{MAX_SAMPLES} allowed")
     rng = np.random.default_rng(seed)
     checks = _CheckCounters()
     for _ in range(n_polygons):

@@ -21,7 +21,8 @@ from .errors import (
     PointTooCloseToBoundary,
     StepTooLarge,
 )
-from .geometry import PointGeometryArrays, Polygon, _rot_ccw, point_geometry_batch
+from .geometry import (PointGeometryArrays, Polygon, _rot_ccw, _with_neighbour,
+                       point_geometry_batch)
 
 _COLLINEAR_TOL = 1e-9
 
@@ -97,29 +98,30 @@ def _normalized(w: np.ndarray, gw: np.ndarray | None, scale: float):
 
 
 def _mvc_weights(g: PointGeometryArrays) -> np.ndarray:
-    """Mean value weights (t_{i-1} + t_i) / r_i, shape (n, m)."""
-    return (np.roll(g.t, 1, axis=0) + g.t) / g.r
+    """Mean value weights (t_{i-1} + t_i) / r_i, shape (n, m): the plane the
+    geometry keeps, so every reader of one geometry shares it."""
+    return g.mvc_weights
 
 
 def _mvc_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
     w = _mvc_weights(g)
     gw = None
     if gradients:
-        gw = (np.roll(g.grad_t, 1, axis=1) + g.grad_t) / g.r - (w / g.r) * g.grad_r
+        gw = _with_neighbour(np.add, g.grad_t, -1)
+        gw /= g.r
+        gw -= (w / g.r) * g.grad_r
     return _normalized(w, gw, g.scale)
 
 
 def _wachspress_interior(p: Polygon, g: PointGeometryArrays, gradients: bool):
     area = 0.5 * g.cross  # signed area of triangle (x, v_i, v_{i+1}); positive inside
-    area_prev = np.roll(area, 1, axis=0)
     corner = 0.5 * np.roll(p._turn, 1)  # frame units, as are those of g
-    w = corner[:, None] / (area_prev * area)
+    w = corner[:, None] / _with_neighbour(np.multiply, area, -1)
     gw = None
     if gradients:
         # grad A_i is constant: half the CCW normal of edge i, as (2, n, 1)
         ga = (0.5 * _rot_ccw(p._edges)).T[:, :, None]
-        ratio = ga / area + np.roll(ga, 1, axis=1) / area_prev
-        gw = -w * ratio
+        gw = -w * _with_neighbour(np.add, ga / area, -1)
     return _normalized(w, gw, g.scale)
 
 
@@ -299,8 +301,9 @@ class ScanResult:
 # margin * _SCAN_PAD; the scanline cuts aim at margin / _SCAN_PAD, so the
 # points on the margin shell stay on the admissible side.
 _SCAN_PAD = 1.0 - 1e-9
-# A scan evaluates its points in blocks of _SCAN_BLOCK // n, so each (n, m)
-# plane of a block holds at most this many values (256 KiB) and stays in L2.
+# A scan, and the property audit, evaluate their points in blocks of at most
+# _SCAN_BLOCK // n, so each (n, m) plane of a block holds at most this many
+# values (256 KiB) and stays in L2.
 _SCAN_BLOCK = 2**15
 # The largest scan resolution, and the largest --grid of the command line.
 # At this size an eval lattice peaks at 0.55 GB RSS for a 5-vertex polygon

@@ -426,38 +426,39 @@ class PointGeometryArrays:
     stored vertex-major.
 
     Every field is an (n, m) plane whose row i holds vertex i's value at
-    each point, so the cyclic next vertex is a row shift and a sum over
-    the vertices is n contiguous row adds. Gradient fields are (2, n, m):
-    an x plane and a y plane. Fields are computed on first use and kept, so
-    a caller pays only for what it reads: ``r`` (distances r_i), ``cross``
-    and ``dot`` of the vertex-to-point vector pairs (v_i - x, v_{i+1} - x),
-    ``alpha`` (subtended angles alpha_i), ``t`` (half-angle tangents t_i),
-    and the gradients ``grad_r``, ``grad_alpha`` and ``grad_t``; ``cross``
-    is twice the signed triangle area A(x, v_i, v_{i+1}). Fields are in the
-    frame of the polygon, whose power of two ``scale`` they carry: ``r`` is
-    r_i * scale, ``cross`` and ``dot`` carry scale**2, and ``grad_alpha``
-    and ``grad_t`` are the caller gradients over scale.
+    each point, so a sum over the vertices is n contiguous row adds.
+    Gradient fields are (2, n, m): an x plane and a y plane. Fields are
+    computed on first use and kept, so a caller pays only for what it
+    reads: ``r`` (distances r_i), ``cross`` and ``dot`` of the
+    vertex-to-point vector pairs (v_i - x, v_{i+1} - x), ``alpha``
+    (subtended angles alpha_i), ``t`` (half-angle tangents t_i), the
+    gradients ``grad_r``, ``grad_alpha`` and ``grad_t``, and the mean
+    value weights ``mvc_weights`` (t_{i-1} + t_i) / r_i; ``cross`` is
+    twice the signed triangle area A(x, v_i, v_{i+1}). Fields are in the
+    frame of the polygon, whose power of two ``scale`` they carry: ``r``
+    is r_i * scale, ``cross`` and ``dot`` carry scale**2, and
+    ``grad_alpha``, ``grad_t`` and ``mvc_weights`` are the caller values
+    over scale.
     """
 
     def __init__(self, p: Polygon, points) -> None:
         X = np.atleast_2d(np.asarray(points, dtype=float))
         self.scale = p.scale
+        v = p.vertices * self.scale
         # x*s - v_i*s, with the bits of (x - v_i)*s, as x and y planes of
-        # shape (2, n, m): five fields read it, so it is kept
-        self._d = (X * self.scale).T[:, None, :] - (p.vertices * self.scale).T[:, :, None]
-
-    @staticmethod
-    def _next(a: np.ndarray) -> np.ndarray:
-        """Rows of vertex i + 1 (cyclically) at row i of a plane stack."""
-        return np.roll(a, -1, axis=-2)
+        # shape (2, n + 1, m) whose last row repeats vertex 0, so the rows of
+        # vertex i + 1 are a view: five fields read it, so it is kept
+        self._dw = (X * self.scale).T[:, None, :] - np.concatenate([v, v[:1]]).T[:, :, None]
+        self._d, self._d_next = self._dw[:, :-1], self._dw[:, 1:]
 
     @cached_property
-    def _d_next(self) -> np.ndarray:
-        return self._next(self._d)
+    def _rw(self) -> np.ndarray:
+        """r over the n + 1 rows of the wrapped differences."""
+        return np.hypot(self._dw[0], self._dw[1])
 
     @cached_property
     def r(self) -> np.ndarray:
-        return np.hypot(self._d[0], self._d[1])
+        return self._rw[:-1]
 
     @cached_property
     def cross(self) -> np.ndarray:
@@ -475,7 +476,7 @@ class PointGeometryArrays:
 
     @cached_property
     def t(self) -> np.ndarray:
-        rr = self.r * self._next(self.r)
+        rr = self.r * self._rw[1:]  # r_i r_{i+1}
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(self.dot >= 0.0, self.cross / (rr + self.dot),
                             (rr - self.dot) / self.cross)
@@ -490,8 +491,8 @@ class PointGeometryArrays:
         # x - v_i turned by -90 degrees over r_i^2, plus x - v_{i+1} turned
         # by +90 degrees over r_{i+1}^2
         (dx, dy), (nx, ny) = self._d, self._d_next
-        rr = self.r * self.r
-        rr_next = self._next(rr)
+        rrw = self._rw * self._rw
+        rr, rr_next = rrw[:-1], rrw[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.stack([dy / rr - ny / rr_next, nx / rr_next - dx / rr])
 
@@ -501,6 +502,24 @@ class PointGeometryArrays:
         # taken from the cancellation-free t: the form (r_i r_{i+1} + dot)
         # cancels catastrophically as alpha -> pi, next to an edge
         return self.grad_alpha * (0.5 * (1.0 + self.t * self.t))
+
+    @cached_property
+    def mvc_weights(self) -> np.ndarray:
+        w = _with_neighbour(np.add, self.t, -1)
+        w /= self.r
+        return w
+
+
+def _with_neighbour(op, a: np.ndarray, step: int) -> np.ndarray:
+    """op(a_i, a_{i + step}) at row i of a stack of vertex-major (..., n, m)
+    planes, cyclic in i, for step 1 (next vertex) or -1 (previous): written
+    into one new array, with no shifted copy of ``a``."""
+    out = np.empty_like(a)
+    here, there = (slice(None, -1), slice(1, None))[::step]
+    op(a[..., here, :], a[..., there, :], out=out[..., here, :])
+    wrap = -1 if step == 1 else 0
+    op(a[..., wrap, :], a[..., wrap + step, :], out=out[..., wrap, :])
+    return out
 
 
 def point_geometry_batch(p: Polygon, points) -> PointGeometryArrays:

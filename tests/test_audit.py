@@ -1,6 +1,7 @@
 """Randomized property audit: generator quality, determinism, controls."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -468,16 +469,99 @@ def test_audit_rejects_non_finite_mean_value_weights(monkeypatch, poisoned_call)
     assert len(calls) == poisoned_call + 1
 
 
-def test_audit_builds_five_point_geometries_per_polygon(monkeypatch):
-    """x, xg and the FD samples, which both kinds read, once each, plus one
-    FD stencil per kind."""
-    calls = []
+def _check_geometry_builds(monkeypatch, samples):
+    """Run a two-polygon audit and check the points of its geometry builds,
+    polygon by polygon: a block of the value samples x, the same block of
+    the gradient samples xg, and in the first block the FD samples and one
+    stencil of them per kind. The blocks cover x and xg in order, none
+    holds more than _SCAN_BLOCK // n points, and nothing else is built.
+    Returns each polygon's block count."""
+    drawn, built = [], []
 
-    def counted(p, points):
-        calls.append(len(points))
+    def draw(p, rng, count, margin=None):
+        drawn.append(sample_interior(p, rng, count, margin))
+        return drawn[-1]
+
+    def build(p, points):
+        built.append((p.n, points))
         return point_geometry_batch(p, points)
 
-    monkeypatch.setattr(audit, "point_geometry_batch", counted)
-    monkeypatch.setattr(coords, "point_geometry_batch", counted)
-    run_property_audit(2, 50)
-    assert calls == [50, 50, 10, 40, 40] * 2
+    monkeypatch.setattr(audit, "sample_interior", draw)
+    monkeypatch.setattr(audit, "point_geometry_batch", build)
+    monkeypatch.setattr(coords, "point_geometry_batch", build)
+    run_property_audit(2, samples)
+    blocks = []
+    for x, xg, xf in zip(drawn[::3], drawn[1::3], drawn[2::3]):
+        n = built[0][0]
+        xs, xgs = [built.pop(0)[1]], [built.pop(0)[1]]
+        assert built.pop(0)[1] is xf
+        for _ in coords.KINDS:
+            assert built.pop(0)[1].shape == (4 * audit.FD_SAMPLES, 2)
+        while sum(map(len, xs)) < samples:
+            xs.append(built.pop(0)[1])
+            xgs.append(built.pop(0)[1])
+        assert np.array_equal(np.concatenate(xs), x)
+        assert np.array_equal(np.concatenate(xgs), xg)
+        assert max(map(len, xs + xgs)) <= coords._SCAN_BLOCK // n
+        blocks.append(len(xs))
+    assert len(drawn) == 6 and built == []
+    return blocks
+
+
+def test_audit_builds_five_point_geometries_per_polygon(monkeypatch):
+    """Samples that fit one block: x, xg and the FD samples, which both
+    kinds read, once each, plus one FD stencil per kind."""
+    assert _check_geometry_builds(monkeypatch, 50) == [1, 1]
+
+
+def test_audit_walks_its_samples_in_blocks(monkeypatch):
+    """7000 samples take two or three blocks at 5 to 10 vertices: each
+    block of x and xg gets its own geometry, the FD set still one."""
+    assert min(_check_geometry_builds(monkeypatch, 7000)) >= 2
+
+
+def test_report_does_not_depend_on_the_block_size(monkeypatch):
+    """Counts add and worst cases take a maximum, so small ragged blocks
+    (37 to 74 points at 10 down to 5 vertices) give the report of the
+    default blocks, which hold each of these sample sets whole."""
+    runs = [(3, 200, seed) for seed in range(10)] + [(10, 2000, 42)]
+    want = [run_property_audit(*run).to_text() for run in runs]
+    monkeypatch.setattr(audit, "_SCAN_BLOCK", 370)
+    assert [run_property_audit(*run).to_text() for run in runs] == want
+
+
+def test_audit_working_set_does_not_grow_with_the_sample_count():
+    """Only the drawn sample sets grow with the count: every block's planes
+    go before the next block's, so five times the samples stays well
+    below twice the peak of traced allocations."""
+    rng = np.random.default_rng(3)
+    p = random_convex_polygon(rng)
+    audit.audit_polygon(p, rng, 100, audit._CheckCounters())  # p's cached tables
+    peaks = []
+    for samples in (10_000, 50_000):
+        tracemalloc.start()
+        audit.audit_polygon(p, rng, samples, audit._CheckCounters())
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_samples_past_the_limit_are_an_error(monkeypatch, capsys):
+    """A sample count one past MAX_SAMPLES exits with code 1 and an error
+    line naming the count and the cap before any polygon is drawn, while
+    the cap itself goes on to the first draw."""
+    class Drawn(Exception):
+        pass
+
+    def refused(rng):
+        raise Drawn
+
+    monkeypatch.setattr(audit, "random_convex_polygon", refused)
+    over = audit.MAX_SAMPLES + 1
+    rc = main(["properties", "--polygons", "1", "--samples", str(over)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: ValueError: {over} samples per polygon, more than the "
+            f"{audit.MAX_SAMPLES} allowed\n")
+    with pytest.raises(Drawn):
+        run_property_audit(1, audit.MAX_SAMPLES)
