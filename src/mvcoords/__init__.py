@@ -1,5 +1,21 @@
 """Barycentric coordinates on convex polygons and a polygonal FEM pipeline."""
 
+import os as _os
+
+# numpy's OpenBLAS starts a worker thread per core when it loads, and the
+# workers spin for about 0.1 s of CPU before they sleep, in every process.
+# No product here gains from a second thread, so unless the caller names a
+# thread count numpy loads with one; the environment is then restored.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_one_blas_thread = not any(var in _os.environ for var in _BLAS_THREAD_VARS)
+if _one_blas_thread:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as _np
+finally:
+    if _one_blas_thread:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .audit import (
     PropertyAuditReport,
     random_convex_polygon,

@@ -592,3 +592,39 @@ def test_only_converge_loads_scipy(polys, tmp_path):
         "import": [], "pentagon-study": [], "eval": [], "check-polygon": [],
         "properties": [], "converge": ["scipy", "scipy.sparse"],
     }
+
+
+THREAD_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+from mvcoords.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps([len(os.listdir("/proc/self/task")), dict(os.environ) == before]))
+"""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_cores() -> int:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas or not os.path.isdir("/proc/self/task"):
+        pytest.skip("counts OpenBLAS threads through /proc")
+    return len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("var", [None, *BLAS_THREAD_VARS])
+def test_blas_loads_one_thread_unless_the_caller_names_a_count(var, tmp_path):
+    """Importing the package loads numpy's OpenBLAS with no worker thread
+    and leaves the environment as it was; a thread count the caller sets
+    in any variable OpenBLAS reads is kept."""
+    cores = _openblas_cores()
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if var is not None:
+        env[var] = "2"
+    src = str(Path(mvcoords.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["pentagon-study", "--apex", "1.5", "--grid", "8", "--out", str(tmp_path / "out.csv")]
+    result = subprocess.run([sys.executable, "-c", THREAD_PROBE, json.dumps(argv)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    threads = 1 if var is None else min(2, cores)
+    assert json.loads(result.stdout) == [threads, True]
