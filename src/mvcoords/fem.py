@@ -32,9 +32,10 @@ DEFAULT_ASSEMBLY_RULE = (8, 1)
 DEFAULT_ERROR_RULE = (10, 2)
 CG_TOL = 1e-10
 # quadrature points per chunk of elements in assembly and error norms:
-# a chunk's (m, 2) point and field arrays then stay in cache, and its
-# matmuls against the k basis functions stay below the size at which
-# OpenBLAS hands work to a second thread that spin-waits between calls
+# a chunk's (m, 2) point and field arrays then stay in cache, and each of
+# its (elements, k) @ (k, points) matmuls does at most 2^15 k multiply-adds,
+# for k <= 8 no more than the 2^18 at which OpenBLAS hands a gemm to a
+# second thread that spin-waits between calls
 _CHUNK_POINTS = 2**15
 
 
@@ -150,51 +151,31 @@ def _shape_groups(mesh: Mesh, degree: int, subdivision: int):
         yield idx, origins[idx], rule, mvc_gradients(ref, rule.points)
 
 
-def _slices(n_elements: int, n_q: int):
-    """Consecutive runs of elements holding at most _CHUNK_POINTS
-    quadrature points, and one element per run when a single element
-    holds more."""
-    step = max(1, _CHUNK_POINTS // n_q)
-    return (slice(start, start + step) for start in range(0, n_elements, step))
-
-
-def _chunks(origins: np.ndarray, points: np.ndarray):
-    """Yield (element slice, that chunk's quadrature points as (m, 2)) over
-    _slices.
-
-    Each point is its element's origin plus a reference point, added as
-    flat rows so numpy does not loop over a length-2 innermost axis."""
-    n_q = points.shape[0]
-    flat = points.reshape(1, -1)
-    for sl in _slices(origins.shape[0], n_q):
-        yield sl, (np.tile(origins[sl], (1, n_q)) + flat).reshape(-1, 2)
-
-
-def _jets(u: ScalarField, origins: np.ndarray, points: np.ndarray):
-    """Yield (element slice, (values, gradients)) of u at each chunk's
-    quadrature points, as ``u.jet`` on the points of _chunks returns them.
-
-    A field with ``factors`` fx(x) fy(y) is tabulated instead: fx once per
-    distinct origin x and reference point, fy once per distinct origin y,
-    from the same float sums as _chunks; each chunk gathers and multiplies
-    its elements' rows. The tables are used only when they have no more
-    rows than the group has elements (build_mesh(n) needs 2n rows for n²
-    elements), so they never hold more points than the chunks would.
-    """
+def _chunks(origins: np.ndarray, n_q: int):
+    """Split a group's elements, ordered by (y origin, x origin), into runs
+    of at most _CHUNK_POINTS quadrature points (one element if it holds
+    more) within one y origin. The split reads the origins only, so every
+    path through a group's fields sums over the same blocks. Returns the
+    distinct x and y origins and, per chunk, (positions into origins, its
+    x origin rows, a slice when consecutive, its one y origin row)."""
     (ux, ix), (uy, iy) = (np.unique(origins[:, a], return_inverse=True) for a in (0, 1))
-    if u.factors is None or ux.size + uy.size > origins.shape[0]:
-        for sl, pts in _chunks(origins, points):
-            yield sl, u.jet(pts)
-        return
-    f, df = u.factors[0](ux[:, None] + points[:, 0])
-    g, dg = u.factors[1](uy[:, None] + points[:, 1])
-    for sl in _slices(origins.shape[0], points.shape[0]):
-        fe, ge = f[ix[sl]], g[iy[sl]]
-        # interleaved [f' g, f g'] written in place: np.stack would copy both
-        grad = np.empty(fe.shape + (2,))
-        np.multiply(df[ix[sl]], ge, out=grad[..., 0])
-        np.multiply(fe, dg[iy[sl]], out=grad[..., 1])
-        yield sl, (fe * ge, grad)
+    order = np.lexsort((ix, iy))
+    at = np.arange(order.size)
+    run_start = np.maximum.accumulate(np.where(np.diff(iy[order], prepend=-1), at, 0))
+    cuts = np.flatnonzero((at - run_start) % max(1, _CHUNK_POINTS // n_q) == 0)[1:]
+    chunks = []
+    for pos in np.split(order, cuts):
+        rows = ix[pos]
+        if np.all(np.diff(rows) == 1):
+            rows = slice(rows[0], rows[-1] + 1)
+        chunks.append((pos, rows, iy[pos[0]]))
+    return ux, uy, chunks
+
+
+def _chunk_points(origins: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(m, 2) chunk points, origin plus reference point, added as flat rows
+    so numpy does not loop over a length-2 innermost axis."""
+    return (np.tile(origins, (1, points.shape[0])) + points.reshape(1, -1)).reshape(-1, 2)
 
 
 def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
@@ -217,8 +198,9 @@ def assemble(mesh: Mesh, u_exact: ScalarField) -> LinearSystem:
         data[idx] = np.einsum("q,qia,qja->ij", rule.weights, g, g).ravel()
         # load[e, i] = sum_q f(x_eq) w_q phi_i(q), one matmul per chunk
         w_phi = rule.weights[:, None] * basis.values
-        for sl, pts in _chunks(origins, rule.points):
-            load[idx[sl]] = u_exact.source(pts).reshape(-1, rule.weights.size) @ w_phi
+        for pos, _, _ in _chunks(origins, rule.weights.size)[2]:
+            pts = _chunk_points(origins[pos], rule.points)
+            load[idx[pos]] = u_exact.source(pts).reshape(-1, rule.weights.size) @ w_phi
     b_full = np.zeros(n_nodes)
     np.add.at(b_full, mesh.elements.ravel(), load.ravel())
     k_full = sp.coo_matrix((data.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
@@ -299,30 +281,47 @@ def solve(system: LinearSystem, max_iter: int | None = None) -> np.ndarray:
 
 def solution_errors(mesh: Mesh, coeffs: np.ndarray, u_exact: ScalarField) -> tuple[float, float]:
     """Quadrature L2 and H1-seminorm errors of the discrete solution, by
-    DEFAULT_ERROR_RULE; coeffs holds one value per mesh node. A field with
-    ``factors`` is read from per-group tables of its factors (see _jets),
-    any other through one ``jet`` call per chunk of elements."""
+    DEFAULT_ERROR_RULE; coeffs holds one value per mesh node. Per chunk of
+    _chunks, value, d/dx and d/dy in turn fill one contiguous (elements,
+    points) plane: field less interpolant, squared, weighted and summed.
+
+    A field with ``factors`` fx(x) fy(y) is tabulated: fx once per distinct
+    origin x and reference point, fy once per distinct origin y, from the
+    float sums of _chunk_points; a chunk's plane is its fx rows times its
+    one fy row, bit-identical to ``jet``. Only a group whose tables have no
+    more rows than it has elements (build_mesh(n): 2n rows, n² elements) is
+    tabulated; any other calls ``jet`` once per chunk.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (mesh.n_nodes,):
         raise ValueError(f"coeffs has shape {coeffs.shape}, not ({mesh.n_nodes},), one per node")
-    l2_sq = 0.0
-    h1_sq = 0.0
+    sq = [0.0, 0.0]
     for idx, origins, rule, basis in _shape_groups(mesh, *DEFAULT_ERROR_RULE):
-        w = rule.weights
-        n_q = w.size
-        phi_t = basis.values.T
-        # (k, 2Q) with column 2q + a = d phi_i / dx_a at point q, the layout of
-        # the jet's gradient reshaped per element, so gradients are one matmul
-        grad_t = basis.gradients.transpose(1, 0, 2).reshape(mesh.elements.shape[1], 2 * n_q)
-        w2 = np.repeat(w, 2)
-        for sl, (uv, ug) in _jets(u_exact, origins, rule.points):
-            nodal = coeffs[mesh.elements[idx[sl]]]
-            n_e = nodal.shape[0]
-            du = uv.reshape(n_e, n_q) - nodal @ phi_t
-            dg = ug.reshape(n_e, 2 * n_q) - nodal @ grad_t
-            l2_sq += float(np.sum(du * du @ w))
-            h1_sq += float(np.sum(dg * dg @ w2))
-    return float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))
+        n_q = rule.weights.size
+        ux, uy, chunks = _chunks(origins, n_q)
+        factored = u_exact.factors is not None and ux.size + uy.size <= origins.shape[0]
+        if factored:
+            f, df = u_exact.factors[0](ux[:, None] + rule.points[:, 0])
+            g, dg = u_exact.factors[1](uy[:, None] + rule.points[:, 1])
+        # (k, Q) tables of phi_i, d phi_i / dx and d phi_i / dy
+        tables = [np.ascontiguousarray(t) for t in (basis.values.T, *basis.gradients.T)]
+        a_buf, b_buf = np.empty((2, max(pos.size for pos, _, _ in chunks), n_q))
+        for pos, rows, j in chunks:
+            nodal = coeffs[mesh.elements[idx[pos]]]
+            a, b = a_buf[:pos.size], b_buf[:pos.size]
+            if not factored:
+                uv, ug = u_exact.jet(_chunk_points(origins[pos], rule.points))
+                jet = (uv, ug[:, 0], ug[:, 1])
+            for c, table in enumerate(tables):
+                if factored:
+                    np.multiply((f, df, f)[c][rows], (g, g, dg)[c][j], out=a)
+                else:
+                    np.copyto(a, jet[c].reshape(a.shape))
+                np.matmul(nodal, table, out=b)
+                a -= b
+                a *= a
+                sq[c > 0] += float(np.sum(a @ rule.weights))
+    return float(np.sqrt(sq[0])), float(np.sqrt(sq[1]))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -60,6 +61,16 @@ def triangle_mesh(n):
     lower = mesh.elements[:, [0, 1, 2]]
     upper = mesh.elements[:, [0, 2, 3]]
     return dataclasses.replace(mesh, elements=np.concatenate([lower, upper]))
+
+
+def mixed_triangle_mesh(n, cell):
+    """triangle_mesh(n) with square `cell` cut along its other diagonal, so
+    that row of the two main triangle groups skips one origin x."""
+    mesh = square_mesh(n)
+    sq = mesh.elements
+    tri = np.concatenate([sq[:, [0, 1, 2]], sq[:, [0, 2, 3]]])
+    tri[[cell, n * n + cell]] = sq[cell, [0, 1, 3]], sq[cell, [1, 2, 3]]
+    return dataclasses.replace(mesh, elements=tri)
 
 
 def graded(mesh):
@@ -266,6 +277,54 @@ def test_batched_path_matches_per_element_reference():
     assert_matches_per_element_reference(build_mesh(3))
 
 
+def whole_mesh_errors(mesh, coeffs, u):
+    """L2 and H1-seminorm errors from one jet call over every quadrature
+    point of the mesh, each element's rule and basis tabulated on its
+    translate to the origin, and math.fsum of the weighted squares."""
+    tables = {}
+    ref, points = [], []
+    for e in range(mesh.n_elements):
+        loop = mesh.nodes[mesh.elements[e]]
+        local = loop - loop[0]
+        key = np.round(local, 12).tobytes()
+        if key not in tables:
+            poly = Polygon(local)
+            rule = fan_quadrature(poly, *DEFAULT_ERROR_RULE)
+            tables[key] = rule, mvc_gradients(poly, rule.points)
+        ref.append(tables[key])
+        points.append(loop[0] + tables[key][0].points)
+    uv, ug = u.jet(np.concatenate(points))
+    l2_terms, h1_terms = [], []
+    start = 0
+    for e, (rule, basis) in enumerate(ref):
+        stop = start + rule.weights.size
+        nodal = coeffs[mesh.elements[e]]
+        du = uv[start:stop] - basis.values @ nodal
+        dg = ug[start:stop] - np.einsum("qia,i->qa", basis.gradients, nodal)
+        l2_terms.extend(rule.weights * du * du)
+        h1_terms.extend(rule.weights * (dg * dg).sum(axis=1))
+        start = stop
+    return math.sqrt(math.fsum(l2_terms)), math.sqrt(math.fsum(h1_terms))
+
+
+@pytest.mark.parametrize("make", [lambda: build_mesh(8), lambda: square_mesh(6),
+                                  lambda: triangle_mesh(6), lambda: mixed_triangle_mesh(6, 14)],
+                         ids=["octagon8", "square6", "triangle6", "mixed6"])
+@pytest.mark.parametrize("field", [field_x2, field_sin_exp], ids=["x2", "sin_exp"])
+def test_errors_match_whole_mesh_sum(make, field):
+    """solution_errors of the interpolant agrees to rtol 1e-12 with one
+    plain sum over the whole mesh; sin(x)e^y with and without its
+    factors."""
+    mesh = make()
+    u = field()
+    coeffs = u.value(mesh.nodes)
+    l2, h1 = whole_mesh_errors(mesh, coeffs, u)
+    assert l2 > 0.0 and h1 > 0.0
+    fields = [u] if u.factors is None else [u, dataclasses.replace(u, factors=None)]
+    for v in fields:
+        assert_allclose(solution_errors(mesh, coeffs, v), [l2, h1], rtol=1e-12)
+
+
 def _refuse(x):
     raise AssertionError("the FEM hot path evaluated a field callable it should not need")
 
@@ -273,11 +332,12 @@ def _refuse(x):
 @pytest.mark.parametrize("field", [field_x2, field_sin_exp])
 def test_hot_paths_use_laplacian_and_jet_only(field):
     """assemble takes its load from the laplacian, never a hessian, and
-    solution_errors makes no value or gradient call. It makes one jet call
-    per chunk for x^2; for the product field sin(x)e^y it makes no jet
-    call and two factor calls per shape group, one per distinct origin
-    coordinate table. Guarded fields give bit-identical results to the
-    unguarded field."""
+    solution_errors makes no value or gradient call. For x^2 it makes one
+    jet call per chunk of _chunks, on exactly that chunk's points; for the
+    product field sin(x)e^y it makes no jet call and two factor calls per
+    shape group, on the distinct origin x and y each plus the reference
+    points. Guarded fields give bit-identical results to the unguarded
+    field."""
     u = field()
     for mesh in (build_mesh(4), triangle_mesh(4)):
         system = assemble(mesh, u)
@@ -289,7 +349,7 @@ def test_hot_paths_use_laplacian_and_jet_only(field):
 
         def counted(name, fn):
             def wrapper(x):
-                calls.append((name, x.shape))
+                calls.append((name, x.copy()))
                 return fn(x)
             return wrapper
 
@@ -297,26 +357,31 @@ def test_hot_paths_use_laplacian_and_jet_only(field):
         if u.factors is None:
             guarded = dataclasses.replace(u, value=_refuse, gradient=_refuse,
                                           jet=counted("jet", u.jet))
-            expected = [("jet", pts.shape) for _, origins, rule, _ in groups
-                        for _, pts in fem._chunks(origins, rule.points)]
+            expected = [("jet", fem._chunk_points(origins[pos], rule.points))
+                        for _, origins, rule, _ in groups
+                        for pos, _, _ in fem._chunks(origins, rule.weights.size)[2]]
         else:
             fx, fy = u.factors
             guarded = dataclasses.replace(u, value=_refuse, gradient=_refuse, jet=_refuse,
                                           factors=(counted("fx", fx), counted("fy", fy)))
             # build_mesh(4) is one group, triangle_mesh(4) two; each group's
             # origins have 4 distinct x and 4 distinct y
-            expected = [(name, (4, rule.weights.size))
-                        for _, _, rule, _ in groups for name in ("fx", "fy")]
+            expected = [(name, np.unique(origins[:, a])[:, None] + rule.points[:, a])
+                        for _, origins, rule, _ in groups
+                        for a, name in enumerate(("fx", "fy"))]
+            assert all(x.shape[0] == 4 for _, x in expected)
         assert solution_errors(mesh, coeffs, guarded) == solution_errors(mesh, coeffs, u)
-        assert calls == expected
+        assert [name for name, _ in calls] == [name for name, _ in expected]
+        assert all(np.array_equal(x, ref) for (_, x), (_, ref) in zip(calls, expected))
 
 
 def test_factored_and_jet_paths_are_bit_identical(monkeypatch):
     """The factor tables of sin(x)e^y give the same floats as its jet:
     (l2, h1) are bit-identical with and without factors on octagon meshes
     n = 1..16 and 32, the graded octagon mesh, uniform and graded square
-    and triangle meshes, and 7-element chunks that leave a ragged final
-    chunk."""
+    and triangle meshes, a triangle mesh whose main groups skip an origin
+    x in one row (so those x-factor rows are gathered, not sliced), and
+    3-element chunks that leave a ragged final chunk in each row of 5."""
     u = field_sin_exp()
     plain = dataclasses.replace(u, factors=None)
 
@@ -327,13 +392,18 @@ def test_factored_and_jet_paths_are_bit_identical(monkeypatch):
     meshes = [build_mesh(n) for n in [*range(1, 17), 32]] + [graded(build_mesh(3))]
     meshes += [make(n) for make in SINGLE_VALENCE.values() for n in (1, 3)]
     meshes += [graded(make(3)) for make in SINGLE_VALENCE.values()]
+    meshes.append(mixed_triangle_mesh(3, 4))
+    gathered = [rows for _, origins, rule, _ in fem._shape_groups(meshes[-1], *DEFAULT_ERROR_RULE)
+                for _, rows, _ in fem._chunks(origins, rule.weights.size)[2]
+                if not isinstance(rows, slice)]
+    assert [r.tolist() for r in gathered] == [[0, 2], [0, 2]]
     for mesh in meshes:
         assert_identical(mesh)
     mesh = build_mesh(5)
     q_err = next(fem._shape_groups(mesh, *DEFAULT_ERROR_RULE))[2].weights.size
-    monkeypatch.setattr(fem, "_CHUNK_POINTS", 7 * q_err)
-    elements = range(mesh.n_elements)
-    assert [len(elements[sl]) for sl in fem._slices(mesh.n_elements, q_err)] == [7, 7, 7, 4]
+    monkeypatch.setattr(fem, "_CHUNK_POINTS", 3 * q_err)
+    origins = mesh.nodes[mesh.elements[:, 0]]
+    assert [pos.size for pos, _, _ in fem._chunks(origins, q_err)[2]] == [3, 2] * 5
     assert_identical(mesh)
 
 
@@ -364,8 +434,9 @@ def test_coefficient_shape_checked(shape):
 
 
 def test_ragged_final_chunk(monkeypatch):
-    """Chunking only regroups sums: the default chunks and chunks of 7
-    elements (25 elements leave a final chunk of 4) match one chunk."""
+    """Chunking only regroups sums: the default chunks and chunks of 3
+    elements (each row of 5 leaves a final chunk of 2) match one chunk per
+    row."""
     mesh = build_mesh(5)
     u = field_x2()
     coeffs = solve(assemble(mesh, u))
@@ -381,38 +452,44 @@ def test_ragged_final_chunk(monkeypatch):
         return rhs, solution_errors(mesh, coeffs, u)
 
     one_rhs, one_errors = chunked(mesh.n_elements)
-    for rhs, errors in (default, chunked(7)):
+    for rhs, errors in (default, chunked(3)):
         assert_allclose(rhs, one_rhs, rtol=1e-13)
         assert_allclose(errors, one_errors, rtol=1e-13)
 
 
 def test_chunks_cover_elements_within_the_point_budget():
-    """Chunks are contiguous runs covering every element once, hold at
-    most _CHUNK_POINTS points, and their points are bit-equal to origin +
+    """Chunks cover every element once, hold at most _CHUNK_POINTS points,
+    never span two y origins, and their points are bit-equal to origin +
     reference point; a rule with more points than the budget still gets
-    one element per chunk. The 81 elements leave a ragged final chunk
-    under both default rules."""
-    mesh = build_mesh(9)
-    mesh_origins = mesh.nodes[mesh.elements[:, 0]]
+    one element per chunk. The x rows index the chunk's x origins: on
+    build_mesh a slice, and an index array where the origins skip x. The
+    first three rows of build_mesh(65) leave a ragged final chunk in each
+    row under both default rules (64 and 10 elements per chunk)."""
+    mesh = build_mesh(65)
+    mesh_origins = mesh.nodes[mesh.elements[:3 * 65, 0]]
     oversized = np.random.default_rng(3).uniform(0.0, 0.1, (fem._CHUNK_POINTS + 1, 2))
-    cases = [(next(fem._shape_groups(mesh, *rule))[2].points, mesh_origins)
+    cases = [(next(fem._shape_groups(mesh, *rule))[2].points, mesh_origins, True)
              for rule in (DEFAULT_ASSEMBLY_RULE, DEFAULT_ERROR_RULE)]
-    cases.append((oversized, mesh_origins[:3]))
-    for points, origins in cases:
+    cases.append((oversized, mesh_origins[:3], True))
+    cases.append((cases[1][0], mesh_origins[::2], False))
+    for points, origins, sliced in cases:
         n_q = points.shape[0]
-        elements = np.arange(origins.shape[0])
-        chunks = list(fem._chunks(origins, points))
-        covered = [elements[sl] for sl, _ in chunks]
-        assert np.array_equal(np.concatenate(covered), elements)
-        for idx, (_, pts) in zip(covered, chunks):
-            assert pts.shape == (idx.size * n_q, 2)
-            assert pts.shape[0] <= fem._CHUNK_POINTS or idx.size == 1
+        ux, uy, chunks = fem._chunks(origins, n_q)
+        covered = np.concatenate([pos for pos, _, _ in chunks])
+        assert np.array_equal(np.sort(covered), np.arange(origins.shape[0]))
+        for pos, rows, j in chunks:
+            assert pos.size * n_q <= fem._CHUNK_POINTS or pos.size == 1
+            assert np.all(origins[pos, 1] == uy[j])
+            assert np.array_equal(ux[rows], origins[pos, 0])
+            assert isinstance(rows, slice) == (sliced or pos.size == 1)
+            ref = (origins[pos][:, None, :] + points[None]).reshape(-1, 2)
+            assert np.array_equal(fem._chunk_points(origins[pos], points), ref)
         if n_q > fem._CHUNK_POINTS:
-            assert all(idx.size == 1 for idx in covered)
-        else:
-            assert 0 < covered[-1].size < covered[0].size
-        ref = (origins[:, None, :] + points[None]).reshape(-1, 2)
-        assert np.array_equal(np.concatenate([pts for _, pts in chunks]), ref)
+            assert [pos.size for pos, _, _ in chunks] == [1] * origins.shape[0]
+        elif sliced:
+            for row in range(uy.size):
+                sizes = [pos.size for pos, _, j in chunks if j == row]
+                assert 0 < sizes[-1] < sizes[0]
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 128])
@@ -563,16 +640,19 @@ def test_indefinite_matrix_raises():
 
 SOLVE_DIGEST = """
 import hashlib
-from mvcoords.fem import assemble, build_mesh, solve
+from mvcoords.fem import assemble, build_mesh, solution_errors, solve
 from mvcoords.interp import field_sin_exp
-x = solve(assemble(build_mesh(64), field_sin_exp()))
+mesh, u = build_mesh(64), field_sin_exp()
+x = solve(assemble(mesh, u))
 print(hashlib.sha256(x.tobytes()).hexdigest())
+print(*(e.hex() for e in solution_errors(mesh, x, u)))
 """
 
 
 def test_solve_does_not_depend_on_blas_threads():
     # n=64 has 12,545 free DOFs, enough for OpenBLAS to split a BLAS dot
-    # over two threads, which rounds differently from one thread
+    # over two threads, which rounds differently from one thread; the
+    # error norms of that solve are compared bit for bit as well
     src = str(Path(fem.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):
